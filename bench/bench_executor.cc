@@ -122,7 +122,7 @@ PointResult RunPoint(Env* env, const TwoTableWorkload& workload, Csn t0,
                             SelectiveViewDef(workload)),
       "view");
   view->propagate_from.store(t0);
-  view->delta_hwm.store(t0);
+  view->delta_hwm.Reset(t0);
 
   PropagatorOptions opts;
   opts.runner.use_build_cache = arm.cache_on;

@@ -52,7 +52,7 @@ void Main() {
                              workload.ViewDef()),
         "view");
     view->propagate_from.store(t0);
-    view->delta_hwm.store(t0);
+    view->delta_hwm.Reset(t0);
 
     Propagator prop(&env.views, view, std::make_unique<FixedInterval>(delta));
     Stopwatch total;

@@ -48,7 +48,7 @@ void Main() {
                                workload.ViewDef()),
           "view");
       v->propagate_from.store(t0);
-      v->delta_hwm.store(t0);
+      v->delta_hwm.Reset(t0);
       Propagator prop(&env.views, v,
                       std::make_unique<FixedInterval>(interval));
       Stopwatch sw;
@@ -68,7 +68,7 @@ void Main() {
               workload.ViewDef()),
           "view");
       v->propagate_from.store(t0);
-      v->delta_hwm.store(t0);
+      v->delta_hwm.Reset(t0);
       RollingOptions options;
       options.compensation = mode;
       RollingPropagator prop(&env.views, v, interval, options);

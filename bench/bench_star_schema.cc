@@ -92,7 +92,7 @@ void Main() {
     View* view = ValueOrDie(env.views.CreateView(name, star.ViewDef()),
                             "view");
     view->propagate_from.store(t0);
-    view->delta_hwm.store(t0);
+    view->delta_hwm.Reset(t0);
     RollingOptions options;
     options.compute_delta.skip_empty_ranges = skip_empty;
     RollingPropagator prop(&env.views, view, make_policies(),

@@ -1,5 +1,6 @@
 #include "capture/log_capture.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace rollview {
@@ -26,7 +27,7 @@ size_t LogCapture::Poll() {
 
   uint64_t rows_published = 0;
   uint64_t txns_captured = 0;
-  bool hwm_advanced = false;
+  Csn hwm = kNullCsn;
 
   for (const WalRecord& rec : batch) {
     switch (rec.kind) {
@@ -60,8 +61,7 @@ size_t LogCapture::Poll() {
         }
         // The high-water mark advances on *every* commit: all changes with
         // CSN <= rec.commit_csn are now published.
-        hwm_.store(rec.commit_csn, std::memory_order_release);
-        hwm_advanced = true;
+        hwm = rec.commit_csn;
         break;
       }
       case WalRecord::Kind::kAbort:
@@ -82,6 +82,9 @@ size_t LogCapture::Poll() {
     }
   }
 
+  // One advance (and at most one wakeup) per batch, published before the
+  // truncation below so downstream drivers start on the batch at once.
+  hwm_.Advance(hwm);
   cursor_ = next;
   if (options_.truncate_wal) db_->wal()->Truncate(cursor_);
 
@@ -90,12 +93,6 @@ size_t LogCapture::Poll() {
     stats_.records_processed += batch.size();
     stats_.txns_captured += txns_captured;
     stats_.rows_published += rows_published;
-  }
-  if (hwm_advanced) {
-    // Empty critical section: pairs with the predicate check in WaitForCsn
-    // so a waiter cannot miss the advance between its check and its wait.
-    { std::lock_guard<std::mutex> lk(hwm_mu_); }
-    hwm_cv_.notify_all();
   }
   return batch.size();
 }
@@ -118,51 +115,52 @@ void LogCapture::Start() {
 
 void LogCapture::Stop() {
   if (!running_.exchange(false)) return;
-  stop_cv_.notify_all();
-  {
-    // Wake WaitForCsn sleepers so they notice running_ flipped and fall
-    // back to inline polling instead of waiting out their full timeout.
-    std::lock_guard<std::mutex> lk(hwm_mu_);
-  }
-  hwm_cv_.notify_all();
+  // Wake the thread parked on the commit frontier, and WaitForCsn sleepers
+  // so they notice running_ flipped and fall back to inline polling
+  // instead of waiting out their full timeout.
+  db_->stable_frontier()->WakeAll();
+  hwm_.WakeAll();
   if (thread_.joinable()) thread_.join();
 }
 
 void LogCapture::ThreadMain() {
-  while (running_.load(std::memory_order_relaxed)) {
-    size_t processed = Poll();
-    if (processed == 0) {
-      std::unique_lock<std::mutex> lk(stop_mu_);
-      stop_cv_.wait_for(lk, options_.poll_period);
-    }
+  CsnFrontier* commits = db_->stable_frontier();
+  auto stopped = [this] { return !running_.load(std::memory_order_relaxed); };
+  while (!stopped()) {
+    // Read before polling: a commit that lands while Poll runs moves the
+    // frontier past `seen`, so the wait below returns at once.
+    const Csn seen = commits->value();
+    if (Poll() > 0) continue;
+    commits->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat,
+                      stopped);
   }
   // Final drain so Stop() leaves nothing behind.
   CatchUp();
 }
 
 Status LogCapture::WaitForCsn(Csn csn, std::chrono::milliseconds timeout) {
-  auto deadline = std::chrono::steady_clock::now() + timeout;
+  const auto deadline = CsnFrontier::Clock::now() + timeout;
+  auto stopped = [this] { return !running_.load(std::memory_order_relaxed); };
+  auto busy = [csn] {
+    return Status::Busy("capture did not reach csn " + std::to_string(csn));
+  };
   while (high_water_mark() < csn) {
-    if (running_.load(std::memory_order_relaxed)) {
+    if (!stopped()) {
       // Background mode: block until Poll() advances the mark (or capture
       // stops, in which case fall through to inline polling).
-      std::unique_lock<std::mutex> lk(hwm_mu_);
-      bool woke = hwm_cv_.wait_until(lk, deadline, [&] {
-        return high_water_mark() >= csn ||
-               !running_.load(std::memory_order_relaxed);
-      });
-      if (!woke && high_water_mark() < csn) {
-        return Status::Busy("capture did not reach csn " +
-                            std::to_string(csn));
+      if (!hwm_.WaitPast(csn - 1, deadline, stopped) && !stopped()) {
+        return busy();
       }
       continue;
     }
+    const Csn seen = db_->stable_csn();
     if (Poll() > 0) continue;
-    // Nothing in the WAL and still behind: the CSN may not exist yet.
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Status::Busy("capture did not reach csn " + std::to_string(csn));
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    // Nothing in the WAL and still behind: the CSN may not exist yet, so
+    // sleep until the next commit.
+    const auto now = CsnFrontier::Clock::now();
+    if (now >= deadline) return busy();
+    db_->stable_frontier()->WaitPast(
+        seen, std::min(deadline, now + kPipelineHeartbeat));
   }
   return Status::OK();
 }

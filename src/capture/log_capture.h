@@ -13,19 +13,22 @@
 // propagation algorithms never read a delta range beyond this mark.
 //
 // Capture can run as a background thread (Start/Stop) or be stepped
-// manually with Poll() for deterministic tests.
+// manually with Poll() for deterministic tests. The background thread
+// sleeps on the engine's stable-CSN frontier, so a commit wakes it; the
+// high-water mark is itself a CsnFrontier that wakes the propagate
+// drivers (common/csn_frontier.h).
 
 #ifndef ROLLVIEW_CAPTURE_LOG_CAPTURE_H_
 #define ROLLVIEW_CAPTURE_LOG_CAPTURE_H_
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "common/csn_frontier.h"
 #include "common/status.h"
 #include "storage/db.h"
 
@@ -34,8 +37,6 @@ namespace rollview {
 struct CaptureOptions {
   // WAL records consumed per Poll (throughput throttle).
   size_t batch_size = 4096;
-  // Background thread poll period; larger values simulate capture lag.
-  std::chrono::milliseconds poll_period{1};
   // Truncate consumed WAL prefixes to bound memory.
   bool truncate_wal = true;
 };
@@ -59,14 +60,15 @@ class LogCapture {
   void Stop();
 
   // Largest CSN all of whose delta rows have been published.
-  Csn high_water_mark() const {
-    return hwm_.load(std::memory_order_acquire);
-  }
+  Csn high_water_mark() const { return hwm_.value(); }
+  // The high-water mark as a waitable frontier (advanced once per Poll
+  // batch that consumed a commit record).
+  CsnFrontier* frontier() { return &hwm_; }
 
   // Blocks until high_water_mark() >= csn. With the background thread
-  // running, waits on a condition variable notified by Poll() when the
-  // high-water mark advances (no spinning); otherwise polls inline.
-  // Returns Busy on timeout.
+  // running, waits on the high-water-mark frontier (no spinning);
+  // otherwise polls inline, sleeping on the stable-CSN frontier while the
+  // log is empty. Returns Busy on timeout.
   Status WaitForCsn(Csn csn, std::chrono::milliseconds timeout =
                                   std::chrono::milliseconds(10000));
 
@@ -94,19 +96,14 @@ class LogCapture {
   Lsn cursor_ = 0;      // next WAL LSN to read (guarded by poll_mu_)
   std::unordered_map<TxnId, std::vector<PendingChange>> pending_;
 
-  std::atomic<Csn> hwm_{0};
-  // Guards the sleep in WaitForCsn; Poll notifies after the HWM advances
-  // and Stop notifies so waiters fall back to inline polling.
-  std::mutex hwm_mu_;
-  std::condition_variable hwm_cv_;
+  // Stop() wakes its waiters so WaitForCsn falls back to inline polling.
+  CsnFrontier hwm_;
 
   mutable std::mutex stats_mu_;
   Stats stats_;
 
   std::thread thread_;
   std::atomic<bool> running_{false};
-  std::condition_variable stop_cv_;
-  std::mutex stop_mu_;
 };
 
 }  // namespace rollview

@@ -23,30 +23,30 @@ Status Applier::RollTo(Csn target) {
   }
   if (target == from) return Status::OK();
 
-  // The transaction exists to serialize with MV readers through the lock
-  // manager (X on the view resource); the MV itself is not an engine table.
+  // The transaction exists to serialize with MV readers and scrub repair
+  // through the lock manager (X on the view resource); the MV itself is
+  // not an engine table.
   std::unique_ptr<Txn> txn = views_->db()->Begin(TxnClass::kMaintenance);
   Status s = views_->db()->LockNamedExclusive(txn.get(),
                                               view_->mv_lock_resource);
-  if (!s.ok()) {
-    views_->db()->Abort(txn.get()).ok();
-    return s;
+  DeltaRows window;
+  if (s.ok()) {
+    window = view_->view_delta->Scan(CsnRange{from, target});
+    s = view_->mv->Merge(window, target);
   }
-
-  DeltaRows window = view_->view_delta->Scan(CsnRange{from, target});
-  s = view_->mv->Merge(window, target);
-  if (!s.ok()) {
-    views_->db()->Abort(txn.get()).ok();
-    return s;
-  }
-  s = views_->db()->Commit(txn.get());
-  if (!s.ok()) {
-    // The txn is still active after a failed commit; abort it so the X lock
-    // on the view resource is released before the supervisor retries (a
+  // Metadata-only roll: an empty window leaves the MV contents equal at
+  // both CSNs (Def. 4.2), so only the materialization time moves and there
+  // is nothing to commit. Abort just releases the X lock without taking a
+  // CSN -- a commit would be a fresh delta-ready advance the propagator
+  // skip-steps over, waking this driver again, forever.
+  if (s.ok() && !window.empty()) s = views_->db()->Commit(txn.get());
+  if (!s.ok() || window.empty()) {
+    // A failed commit leaves the txn active too; abort it so the X lock on
+    // the view resource is released before the supervisor retries (a
     // leaked lock would starve every later roll).
     views_->db()->Abort(txn.get()).ok();
-    return s;
   }
+  ROLLVIEW_RETURN_NOT_OK(s);
 
   // Durable applied mark: recovery rolls the restored MV back to this CSN
   // (never past it -- point-in-time users must not find their view advanced
@@ -55,13 +55,14 @@ Status Applier::RollTo(Csn target) {
   views_->db()->wal()->Append(MakeViewAppliedRecord(*view_, target));
 
   stats_.rolls++;
+  if (window.empty()) stats_.empty_rolls++;
   stats_.rows_selected += window.size();
   if (options_.prune_view_delta) {
     stats_.rows_pruned += view_->view_delta->Prune(target);
   }
 
   // Corruption drills (scrub tests): a latent bit flip lands in the freshly
-  // rolled extent -- after the commit, so it models silent storage damage
+  // rolled extent -- after the roll, so it models silent storage damage
   // the transaction machinery cannot see, only the scrubber can.
   if (FaultInjector* fi = views_->db()->fault_injector()) {
     uint64_t seed = 0;

@@ -32,6 +32,8 @@ class Applier {
   // Rolls the MV from its current materialization time to `target`.
   // Requires mv_time <= target <= high-water mark. Takes an X lock on the
   // view's resource (readers take S), so rolls serialize with readers.
+  // Commits (consuming a CSN) only when the window holds view-delta rows;
+  // an empty window is a metadata-only advance.
   Status RollTo(Csn target);
 
   // RollTo(high-water mark).
@@ -44,6 +46,9 @@ class Applier {
 
   struct Stats {
     uint64_t rolls = 0;
+    // Rolls over an empty view-delta window: metadata-only advances of the
+    // materialization time that commit nothing (a subset of `rolls`).
+    uint64_t empty_rolls = 0;
     uint64_t rows_selected = 0;  // view-delta rows in the applied windows
     uint64_t rows_pruned = 0;
   };

@@ -151,7 +151,7 @@ Result<Csn> SyncRefresher::RefreshEq1() {
 
   stats_.refreshes++;
   stats_.queries += queries;
-  view_->AdvanceHwm(t_b);
+  view_->delta_hwm.Advance(t_b);
   return t_b;
 }
 
@@ -190,7 +190,7 @@ Result<Csn> SyncRefresher::RefreshFull() {
   if (!s.ok()) return fail(s);
   stats_.refreshes++;
   stats_.queries += 1;
-  view_->AdvanceHwm(t_b);
+  view_->delta_hwm.Advance(t_b);
   return t_b;
 }
 

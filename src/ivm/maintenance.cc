@@ -118,11 +118,13 @@ MaintenanceService::MaintenanceService(ViewManager* views, View* view,
     // predate tracking and never enter the histograms.
     freshness_ch_ =
         options_.freshness->RegisterView(view_->name, view_->mv->csn());
+    auto hook = [this](Csn hwm) { PublishHwm(hwm); };
     if (parallel_ != nullptr) {
-      // Parallel strips stamp t_comp at the fold site, before the hwm
-      // publishes (so the apply driver can never consume an unstamped
-      // advance); the serial paths stamp from PropagateStep.
-      parallel_->set_freshness(freshness_ch_);
+      parallel_->set_hwm_hook(hook);
+    } else if (rolling_ != nullptr) {
+      rolling_->set_hwm_hook(hook);
+    } else {
+      plain_->set_hwm_hook(hook);
     }
     if (options_.freshness_slo.target_staleness_nanos > 0) {
       slo_ = std::make_unique<obs::FreshnessSlo>(options_.freshness_slo);
@@ -175,11 +177,10 @@ Status MaintenanceService::PropagateStep(bool* advanced) {
   }
   // Freshness pickup stamp: the strip's start time, taken before the step
   // runs so time spent inside the strip counts as propagation, not pickup.
-  // The boundary it consumed up to is only known afterwards.
-  const Csn fresh_hwm_before =
-      freshness_ch_ != nullptr ? view_->high_water_mark() : kNullCsn;
-  const uint64_t fresh_t0 =
-      freshness_ch_ != nullptr ? freshness_ch_->Now() : 0;
+  // The boundary it consumed up to is only known when PublishHwm runs.
+  if (freshness_ch_ != nullptr) {
+    strip_start_nanos_.store(freshness_ch_->Now(), std::memory_order_relaxed);
+  }
   Status s = [&]() -> Status {
     if (parallel_ != nullptr) {
       Result<bool> r = parallel_->Step();
@@ -225,18 +226,6 @@ Status MaintenanceService::PropagateStep(bool* advanced) {
     }
     return Status::OK();
   }();
-
-  if (freshness_ch_ != nullptr && s.ok() && *advanced) {
-    const Csn hwm_after = view_->high_water_mark();
-    if (hwm_after > fresh_hwm_before) {
-      freshness_ch_->OnStripStart(fresh_t0, hwm_after);
-      if (parallel_ == nullptr) {
-        // Serial propagators publish the hwm inside Step; t_comp is now.
-        // (Parallel strips stamped it at FoldHwm, per partition fold.)
-        freshness_ch_->OnHwmAdvance(hwm_after, freshness_ch_->Now());
-      }
-    }
-  }
 
   // Scrub cadence: counted over every successful iteration -- advanced or
   // idle -- so a quiescent system still gets scrubbed. Runs here, on the
@@ -318,6 +307,17 @@ Status MaintenanceService::PropagateStep(bool* advanced) {
     if (flipped) ApplyShedding(shedding());
   }
   return s;
+}
+
+void MaintenanceService::PublishHwm(Csn hwm) {
+  // A re-publish of the current mark (idle settles, parallel re-folds)
+  // stamps nothing; the channel also dedups racing folds.
+  if (hwm > view_->high_water_mark()) {
+    freshness_ch_->OnStripStart(
+        strip_start_nanos_.load(std::memory_order_relaxed), hwm);
+    freshness_ch_->OnHwmAdvance(hwm, freshness_ch_->Now());
+  }
+  view_->delta_hwm.Advance(hwm);
 }
 
 void MaintenanceService::ObserveContention() {
@@ -452,6 +452,7 @@ Status MaintenanceService::ApplyStep(bool* advanced) {
                          static_cast<int64_t>(rep.max_e2e_nanos / 1000));
       apply_tracer_.CloseSpan(span, true);
     }
+    if (s.ok()) applied_.Advance(view_->mv->csn());
     apply_tracer_.EndStep(
         s.ok() ? obs::StepOutcome::kOk
                : (s.IsTransient() ? obs::StepOutcome::kTransientError
@@ -462,8 +463,9 @@ Status MaintenanceService::ApplyStep(bool* advanced) {
     return s;
   }
   Status s = applier_->RollTo(hwm);
-  if (s.ok() && freshness_ch_ != nullptr) {
-    freshness_ch_->OnVisible(view_->mv->csn());
+  if (s.ok()) {
+    if (freshness_ch_ != nullptr) freshness_ch_->OnVisible(view_->mv->csn());
+    applied_.Advance(view_->mv->csn());
   }
   std::lock_guard<std::mutex> lk(stats_mu_);
   apply_mirror_ = astats;
@@ -486,7 +488,7 @@ void MaintenanceService::InterruptibleSleep(std::chrono::nanoseconds d) {
 void MaintenanceService::DriverLoop(Driver* driver,
                                     std::atomic<bool>* paused,
                                     const std::function<Status(bool*)>& step,
-                                    uint64_t salt) {
+                                    uint64_t salt, CsnFrontier* upstream) {
   Rng jitter_rng(options_.backoff_seed ^ salt);
   const BackoffPolicy& policy = options_.backoff;
   std::chrono::nanoseconds backoff =
@@ -495,6 +497,7 @@ void MaintenanceService::DriverLoop(Driver* driver,
       std::chrono::duration_cast<std::chrono::nanoseconds>(policy.max);
   int consecutive_failures = 0;
   driver->consecutive.store(0, std::memory_order_relaxed);
+  auto stopped = [this] { return !running_.load(std::memory_order_relaxed); };
 
   while (running_.load(std::memory_order_relaxed)) {
     if (paused->load(std::memory_order_relaxed)) {
@@ -506,6 +509,9 @@ void MaintenanceService::DriverLoop(Driver* driver,
       continue;
     }
 
+    // Read before stepping: an upstream advance that lands while the step
+    // runs ends the idle wait below at once instead of being missed.
+    const Csn seen = upstream->value();
     bool advanced = false;
     Status s = step(&advanced);
 
@@ -527,7 +533,10 @@ void MaintenanceService::DriverLoop(Driver* driver,
         ApplyShedding(shedding());
       }
       driver->health.store(SteadyHealth(driver), std::memory_order_release);
-      if (!advanced) InterruptibleSleep(options_.idle_sleep);
+      if (!advanced) {
+        upstream->WaitPast(
+            seen, CsnFrontier::Clock::now() + kPipelineHeartbeat, stopped);
+      }
       continue;
     }
 
@@ -618,7 +627,8 @@ void MaintenanceService::Start() {
   propagate_thread_ = std::thread([this] {
     DriverLoop(&propagate_driver_, &propagate_paused_,
                [this](bool* advanced) { return PropagateStep(advanced); },
-               /*salt=*/0x70726f70ULL);  // "prop"
+               /*salt=*/0x70726f70ULL,  // "prop"
+               views_->DeltaReadyFrontier());
   });
   if (options_.apply_continuously) {
     apply_driver_.health.store(DriverHealth::kRunning,
@@ -626,17 +636,23 @@ void MaintenanceService::Start() {
     apply_thread_ = std::thread([this] {
       DriverLoop(&apply_driver_, &apply_paused_,
                  [this](bool* advanced) { return ApplyStep(advanced); },
-                 /*salt=*/0x6170706cULL);  // "appl"
+                 /*salt=*/0x6170706cULL,  // "appl"
+                 &view_->delta_hwm);
     });
   }
 }
 
 Status MaintenanceService::Stop() {
-  running_.store(false, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
+  if (running_.exchange(false, std::memory_order_relaxed)) {
+    // Only a running service wakes anything: a stopped one may outlive the
+    // engine whose frontiers its drivers slept on.
+    {
+      std::lock_guard<std::mutex> lk(wake_mu_);
+    }
+    wake_cv_.notify_all();
+    views_->DeltaReadyFrontier()->WakeAll();
+    view_->delta_hwm.WakeAll();
   }
-  wake_cv_.notify_all();
   if (propagate_thread_.joinable()) propagate_thread_.join();
   if (apply_thread_.joinable()) apply_thread_.join();
   std::lock_guard<std::mutex> lk(error_mu_);
@@ -1107,22 +1123,35 @@ Status MaintenanceService::CheckDrainProgress(
   return Status::OK();
 }
 
+template <typename CurrentFn>
+Status MaintenanceService::AwaitDriver(const Driver& driver,
+                                       const std::atomic<bool>& paused,
+                                       CsnFrontier* wake, Csn target,
+                                       CurrentFn current) {
+  for (;;) {
+    const Csn seen = wake->value();
+    if (current() >= target) return Status::OK();
+    ROLLVIEW_RETURN_NOT_OK(CheckDrainProgress(driver, paused));
+    wake->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
+  }
+}
+
 Status MaintenanceService::Drain(Csn target) {
   bool was_running = running_.load(std::memory_order_relaxed);
   if (was_running) {
     // Let the background drivers do the work; wait for them. Bail out with
     // Busy instead of livelocking if the driver is paused, and with the
     // driver's error if it died.
-    while (view_->high_water_mark() < target) {
-      ROLLVIEW_RETURN_NOT_OK(
-          CheckDrainProgress(propagate_driver_, propagate_paused_));
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+    ROLLVIEW_RETURN_NOT_OK(AwaitDriver(
+        propagate_driver_, propagate_paused_, &view_->delta_hwm, target,
+        [this] { return view_->high_water_mark(); }));
   } else {
     // Synchronous drain: drive the same PropagateStep the background driver
     // runs, so the checkpoint cadence fires and step counts accrue exactly
     // as they would under Start().
+    CsnFrontier* ready = views_->DeltaReadyFrontier();
     while (view_->high_water_mark() < target) {
+      const Csn seen = ready->value();
       bool advanced = false;
       ROLLVIEW_RETURN_NOT_OK(PropagateStep(&advanced));
       if (advanced) {
@@ -1134,17 +1163,14 @@ Status MaintenanceService::Drain(Csn target) {
           ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
               std::min(target, views_->db()->stable_csn())));
         }
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
       }
     }
   }
   if (!options_.apply_continuously) return Status::OK();
   if (was_running) {
-    while (view_->mv->csn() < target) {
-      ROLLVIEW_RETURN_NOT_OK(CheckDrainProgress(apply_driver_, apply_paused_));
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    return Status::OK();
+    return AwaitDriver(apply_driver_, apply_paused_, &applied_, target,
+                       [this] { return view_->mv->csn(); });
   }
   Status s = applier_->RollTo(view_->high_water_mark());
   if (s.ok() && freshness_ch_ != nullptr) {

@@ -21,6 +21,13 @@
 // last_error() make that observable long before Stop(). Recovery work is
 // counted in per-driver DriverStats (transient errors by cause, recoveries,
 // time spent backing off).
+//
+// The hand-offs are event driven: an idle driver sleeps on its upstream
+// CsnFrontier (common/csn_frontier.h) -- the propagate driver on the view
+// manager's delta-ready frontier, the apply driver on the view's delta
+// high-water mark -- and wakes as soon as it advances. kPipelineHeartbeat
+// bounds every such sleep so scrub cadence and SLO evaluation still run on
+// an idle system.
 
 #ifndef ROLLVIEW_IVM_MAINTENANCE_H_
 #define ROLLVIEW_IVM_MAINTENANCE_H_
@@ -32,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/csn_frontier.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "ivm/apply.h"
@@ -110,7 +118,6 @@ class MaintenanceService {
     // advances). Point-in-time users leave this off and roll manually.
     bool apply_continuously = true;
     bool prune_view_delta = true;  // applier prunes applied windows
-    std::chrono::milliseconds idle_sleep{1};
     RunnerOptions runner;
 
     // --- Supervision ---
@@ -301,9 +308,17 @@ class MaintenanceService {
   // controller is shedding, else kRunning.
   DriverHealth SteadyHealth(const Driver* driver) const;
   // The supervised driver loop: runs `step` until stopped, absorbing
-  // transient errors per the backoff policy and health state machine.
+  // transient errors per the backoff policy and health state machine. A
+  // step that finds nothing to do sleeps until `upstream` advances past
+  // the value it had before the step (or the heartbeat expires).
   void DriverLoop(Driver* driver, std::atomic<bool>* paused,
-                  const std::function<Status(bool*)>& step, uint64_t salt);
+                  const std::function<Status(bool*)>& step, uint64_t salt,
+                  CsnFrontier* upstream);
+  // Propagator hwm hook (installed when freshness is tracked): stamps the
+  // strip's pickup and t_comp boundaries, then advances the view hwm. The
+  // advance wakes the apply driver at once, so the stamps must come first
+  // or its OnVisible would find them missing. May run on pool threads.
+  void PublishHwm(Csn hwm);
   // True while the durable WAL backend reports ENOSPC (always false for the
   // in-memory log).
   bool WalOutOfSpace() const;
@@ -314,6 +329,12 @@ class MaintenanceService {
   // driver failed (its error) or is paused (Busy).
   Status CheckDrainProgress(const Driver& driver,
                             const std::atomic<bool>& paused);
+  // Blocks until current() >= target, sleeping on `wake` (which advances
+  // whenever current() may have moved) and re-checking the driver's
+  // progress at least once per heartbeat.
+  template <typename CurrentFn>
+  Status AwaitDriver(const Driver& driver, const std::atomic<bool>& paused,
+                     CsnFrontier* wake, Csn target, CurrentFn current);
 
   ViewManager* views_;
   View* view_;
@@ -378,14 +399,20 @@ class MaintenanceService {
   std::atomic<bool> propagate_paused_{false};
   std::atomic<bool> apply_paused_{false};
 
-  // Wakes drivers sleeping on idle/backoff/pause.
+  // Wakes drivers sleeping on backoff/pause.
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
+  // The MV CSN the apply driver last rolled to; a background Drain sleeps
+  // on it.
+  CsnFrontier applied_;
 
   // Freshness pipeline (null/false when Options::freshness is unset). The
   // SLO latch is flipped only by the propagate driver (or a synchronous
   // Drain caller); read by shedding().
   obs::ViewFreshness* freshness_ch_ = nullptr;
+  // Start time of the running propagation step (or partitioned round), for
+  // the pickup stamp PublishHwm takes.
+  std::atomic<uint64_t> strip_start_nanos_{0};
   std::unique_ptr<obs::FreshnessSlo> slo_;
   std::atomic<bool> slo_shedding_{false};
 

@@ -1,11 +1,8 @@
 #include "ivm/parallel_rolling.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "ivm/partition.h"
-#include "obs/freshness.h"
 
 namespace rollview {
 
@@ -115,14 +112,11 @@ void PartitionedRollingPropagator::FoldHwm(uint32_t p, Csn local) {
   for (uint32_t q = 0; q < partitions(); ++q) {
     floor = std::min(floor, hwm_slots_[q].load(std::memory_order_acquire));
   }
-  if (floor != kMaxCsn) {
-    // t_comp freshness stamp before the hwm publishes: once AdvanceHwm
-    // returns, the apply driver may make every commit <= floor visible,
-    // and its OnVisible must find this boundary already stamped. Re-folds
-    // that do not advance the floor are deduped by the channel.
-    obs::ViewFreshness* ch = freshness_.load(std::memory_order_acquire);
-    if (ch != nullptr) ch->OnHwmAdvance(floor, ch->Now());
-    view_->AdvanceHwm(floor);
+  if (floor == kMaxCsn) return;
+  if (hwm_hook_) {
+    hwm_hook_(floor);
+  } else {
+    view_->delta_hwm.Advance(floor);
   }
 }
 
@@ -180,7 +174,9 @@ Result<bool> PartitionedRollingPropagator::TryFinish() {
 }
 
 Status PartitionedRollingPropagator::RunUntil(Csn target) {
+  CsnFrontier* ready = views_->DeltaReadyFrontier();
   while (high_water_mark() < target) {
+    const Csn seen = ready->value();
     ROLLVIEW_ASSIGN_OR_RETURN(bool any, Step());
     if (any) continue;
     ROLLVIEW_ASSIGN_OR_RETURN(bool settled, TryFinish());
@@ -189,7 +185,8 @@ Status PartitionedRollingPropagator::RunUntil(Csn target) {
       ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
           std::min(target, views_->db()->stable_csn())));
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    // Caught up with everything published: sleep until more is.
+    ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
   }
   return Status::OK();
 }

@@ -103,12 +103,12 @@ class PartitionedRollingPropagator {
   // Size must equal partitions(); null entries detach.
   void SetTracers(const std::vector<obs::StepTracer*>& tracers);
 
-  // Freshness channel (obs/freshness.h): each hwm fold stamps the t_comp
-  // boundary *before* publishing the advance, so the apply driver can
-  // never make an unstamped commit visible. Atomic -- attachable while
-  // rounds run; nullptr detaches.
-  void set_freshness(obs::ViewFreshness* channel) {
-    freshness_.store(channel, std::memory_order_release);
+  // Publishes each advance of the view-level minimum through `hook`
+  // instead of View::delta_hwm directly (the maintenance service stamps
+  // freshness boundaries before it advances the mark). Runs on pool
+  // threads, concurrently. Set before stepping; null restores the default.
+  void set_hwm_hook(std::function<void(Csn)> hook) {
+    hwm_hook_ = std::move(hook);
   }
 
   // The published local mark of partition p (what the strip last folded
@@ -128,9 +128,9 @@ class PartitionedRollingPropagator {
   View* view_ = nullptr;
   std::vector<std::unique_ptr<RollingPropagator>> strips_;
   // Monotone per-partition marks; a racy minimum over them only ever
-  // under-approximates, and View::AdvanceHwm is itself monotone.
+  // under-approximates, and View::delta_hwm is itself monotone.
   std::unique_ptr<std::atomic<Csn>[]> hwm_slots_;
-  std::atomic<obs::ViewFreshness*> freshness_{nullptr};
+  std::function<void(Csn)> hwm_hook_;
   WorkerPool* pool_ = nullptr;
   std::unique_ptr<WorkerPool> owned_pool_;
 };

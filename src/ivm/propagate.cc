@@ -1,7 +1,6 @@
 #include "ivm/propagate.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "ivm/checkpoint.h"
 
@@ -41,7 +40,11 @@ void Propagator::PublishCursors(uint64_t completed_seq) {
   WalRecord rec = MakeViewCursorRecord(*view_, completed_seq, state);
   view_->StoreCursors(std::move(state));
   views_->db()->wal()->Append(std::move(rec));
-  view_->AdvanceHwm(t_cur_);
+  if (hwm_hook_) {
+    hwm_hook_(t_cur_);
+  } else {
+    view_->delta_hwm.Advance(t_cur_);
+  }
 }
 
 void Propagator::set_tracer(obs::StepTracer* tracer) {
@@ -109,7 +112,9 @@ Result<bool> Propagator::Step() {
 }
 
 Status Propagator::RunUntil(Csn target) {
+  CsnFrontier* ready = views_->DeltaReadyFrontier();
   while (t_cur_ < target) {
+    const Csn seen = ready->value();
     ROLLVIEW_ASSIGN_OR_RETURN(bool advanced, Step());
     if (!advanced) {
       if (views_->capture() != nullptr) {
@@ -117,7 +122,7 @@ Status Propagator::RunUntil(Csn target) {
         ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
             std::min(target, views_->db()->stable_csn())));
       }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
     }
   }
   return Status::OK();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 
 #include "ivm/checkpoint.h"
 
@@ -74,7 +73,7 @@ void RollingPropagator::PublishHwm() {
   if (hwm_hook_) {
     hwm_hook_(high_water_mark());
   } else {
-    view_->AdvanceHwm(high_water_mark());
+    view_->delta_hwm.Advance(high_water_mark());
   }
 }
 
@@ -365,7 +364,11 @@ Result<bool> RollingPropagator::TryFinish() {
 }
 
 Status RollingPropagator::RunUntil(Csn target) {
+  CsnFrontier* ready = views_->DeltaReadyFrontier();
   while (high_water_mark() < target) {
+    // Read before stepping, so delta published while the step runs ends
+    // the wait below at once.
+    const Csn seen = ready->value();
     ROLLVIEW_ASSIGN_OR_RETURN(bool advanced, Step());
     if (advanced) continue;
     ROLLVIEW_ASSIGN_OR_RETURN(bool settled, TryFinish());
@@ -374,7 +377,8 @@ Status RollingPropagator::RunUntil(Csn target) {
       ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
           std::min(target, views_->db()->stable_csn())));
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    // Caught up with everything published: sleep until more is.
+    ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
   }
   return Status::OK();
 }

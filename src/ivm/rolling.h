@@ -144,11 +144,13 @@ class RollingPropagator {
 
   // Partitioned propagation: diverts the view hwm advances this strip would
   // make (after publishing cursors, and on TryFinish settles) into `hook`
-  // instead of View::AdvanceHwm. The coordinator folds each strip's local
+  // instead of View::delta_hwm. The coordinator folds each strip's local
   // mark into a per-partition slot and advances the view to the minimum
   // over slots -- one strip racing ahead must not publish a mark the
-  // laggard strips cannot yet justify. Set before stepping; null restores
-  // the direct advance.
+  // laggard strips cannot yet justify. The maintenance service hooks the
+  // serial propagator too, to stamp freshness boundaries before the advance
+  // wakes the apply driver. Set before stepping; null restores the direct
+  // advance.
   void set_hwm_hook(std::function<void(Csn)> hook) {
     hwm_hook_ = std::move(hook);
   }

@@ -80,7 +80,7 @@ Status SharedViewGroup::MaterializeAll() {
     member->mv->Replace(ToCountMap(DeriveMemberRows(member, carrier_rows)),
                         csn);
     member->propagate_from.store(csn, std::memory_order_release);
-    member->delta_hwm.store(csn, std::memory_order_release);
+    member->delta_hwm.Reset(csn);
   }
   distributed_to_ = csn;
   return Status::OK();
@@ -97,7 +97,7 @@ Status SharedViewGroup::Distribute(Csn up_to) {
     DeltaRows rows = DeriveMemberRows(member, window);
     stats_.member_rows_emitted += rows.size();
     member->view_delta->AppendBatch(std::move(rows));
-    member->AdvanceHwm(up_to);
+    member->delta_hwm.Advance(up_to);
   }
   distributed_to_ = up_to;
   if (options_.prune_carrier_delta) {

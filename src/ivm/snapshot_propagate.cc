@@ -1,7 +1,5 @@
 #include "ivm/snapshot_propagate.h"
 
-#include <thread>
-
 namespace rollview {
 
 SnapshotPropagator::SnapshotPropagator(ViewManager* views, View* view,
@@ -45,19 +43,23 @@ Result<bool> SnapshotPropagator::Step() {
 
   t_cur_ = t_next;
   boundaries_.push_back(t_cur_);
-  view_->AdvanceHwm(t_cur_);
+  view_->delta_hwm.Advance(t_cur_);
   return true;
 }
 
 Status SnapshotPropagator::RunUntil(Csn target) {
+  // The capture mark never passes the stable CSN, so the delta-ready
+  // frontier is the binding one to sleep on.
+  CsnFrontier* ready = views_->DeltaReadyFrontier();
   while (t_cur_ < target) {
+    const Csn seen = ready->value();
     ROLLVIEW_ASSIGN_OR_RETURN(bool advanced, Step());
     if (!advanced) {
       if (views_->capture() != nullptr) {
         ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
             std::min(target, views_->db()->stable_csn())));
       }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
     }
   }
   return Status::OK();

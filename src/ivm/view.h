@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "capture/delta_table.h"
+#include "common/csn_frontier.h"
 #include "ivm/materialized_view.h"
 #include "ivm/view_def.h"
 #include "ra/delta_program.h"
@@ -84,8 +85,9 @@ struct View {
 
   // View delta high-water mark: sigma_{mv.csn, hwm}(view_delta) is a
   // complete timed delta table (Def. 4.2). Advanced only by the propagation
-  // process; monotone.
-  std::atomic<Csn> delta_hwm{0};
+  // process; monotone (Reset only on materialization and recovery). Its
+  // advances wake the apply driver.
+  CsnFrontier delta_hwm;
 
   // Where propagation starts (the initial materialization time).
   std::atomic<Csn> propagate_from{0};
@@ -159,17 +161,7 @@ struct View {
     return {quarantine_bucket, quarantine_reason};
   }
 
-  Csn high_water_mark() const {
-    return delta_hwm.load(std::memory_order_acquire);
-  }
-  // Monotonic advance (propagation never retracts the mark).
-  void AdvanceHwm(Csn csn) {
-    Csn cur = delta_hwm.load(std::memory_order_relaxed);
-    while (csn > cur &&
-           !delta_hwm.compare_exchange_weak(cur, csn,
-                                            std::memory_order_release)) {
-    }
-  }
+  Csn high_water_mark() const { return delta_hwm.value(); }
 };
 
 }  // namespace rollview

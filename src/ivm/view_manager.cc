@@ -92,7 +92,7 @@ Status ViewManager::Materialize(View* view) {
 
   view->mv->Replace(ToCountMap(rows.value()), csn);
   view->propagate_from.store(csn, std::memory_order_release);
-  view->delta_hwm.store(csn, std::memory_order_release);
+  view->delta_hwm.Reset(csn);
   // Materialization resets maintenance history: fresh cursors, and an
   // initial checkpoint so a crash right after this point recovers the full
   // computation instead of redoing it.
@@ -425,7 +425,7 @@ Status RestoreOneView(Db* db, View* view, PerView& pv,
   }
   if (min_tcomp == kMaxCsn) min_tcomp = kNullCsn;
   Csn hwm = std::max({min_tcomp, cp.delta_hwm, cp.mv_csn});
-  view->delta_hwm.store(hwm, std::memory_order_release);
+  view->delta_hwm.Reset(hwm);
 
   // Roll the MV to the last durable applied mark (not to the high-water
   // mark: when the apply driver runs point-in-time, recovery must not

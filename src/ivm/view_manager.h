@@ -104,9 +104,11 @@ class ViewManager {
   // Largest CSN whose base-delta rows are guaranteed published: capture's
   // high-water mark, or the engine's stable CSN when there is no capture
   // (all-trigger configurations publish delta rows at commit).
-  Csn DeltaReadyCsn() const {
-    return capture_ != nullptr ? capture_->high_water_mark()
-                               : db_->stable_csn();
+  Csn DeltaReadyCsn() const { return DeltaReadyFrontier()->value(); }
+  // DeltaReadyCsn as a waitable frontier: its advances wake the propagate
+  // drivers.
+  CsnFrontier* DeltaReadyFrontier() const {
+    return capture_ != nullptr ? capture_->frontier() : db_->stable_frontier();
   }
 
  private:

@@ -369,10 +369,13 @@ Status Db::Commit(Txn* txn) {
     }
     commit_lsn = wal_.Append(WalRecord{WalRecord::Kind::kCommit, 0, txn->id(),
                                        kInvalidTableId, {}, csn, now});
-    stable_csn_.store(csn, std::memory_order_release);
+    stable_.Publish(csn);
   }
   txn->state_ = TxnState::kCommitted;
   lock_manager_.ReleaseAll(txn->id());
+  // Wake capture only now: the wake syscall stays out of commit_mu_, and
+  // the maintenance work it starts finds this transaction's locks gone.
+  stable_.Notify();
   if (delta_commit) {
     if (obs::FreshnessTracker* ft = freshness_tracker()) {
       // Commit ack: the transaction is committed and its locks released.
@@ -535,7 +538,7 @@ Result<std::unique_ptr<Db>> Db::Recover(const std::vector<WalRecord>& records,
     std::lock_guard<std::mutex> lk(db->commit_mu_);
     db->next_csn_ = max_csn + 1;
   }
-  db->stable_csn_.store(max_csn, std::memory_order_release);
+  db->stable_.Reset(max_csn);
   db->next_txn_id_.store(max_txn + 1);
   return db;
 }

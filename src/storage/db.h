@@ -38,6 +38,7 @@
 #include "capture/delta_table.h"
 #include "capture/uow_table.h"
 #include "common/csn.h"
+#include "common/csn_frontier.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "schema/schema.h"
@@ -235,7 +236,10 @@ class Db {
   }
 
   // Largest CSN all of whose effects are stamped and snapshot-readable.
-  Csn stable_csn() const { return stable_csn_.load(std::memory_order_acquire); }
+  Csn stable_csn() const { return stable_.value(); }
+  // The stable CSN as a waitable frontier: every commit advances it (after
+  // its commit record is in the log), which is what wakes log capture.
+  CsnFrontier* stable_frontier() { return &stable_; }
 
   // Shared snapshot-keyed join build cache; nullptr when disabled
   // (DbOptions::build_cache_bytes == 0). GarbageCollect invalidates entries
@@ -327,7 +331,7 @@ class Db {
   std::atomic<TxnId> next_txn_id_{1};
   std::mutex commit_mu_;
   Csn next_csn_ = 1;  // guarded by commit_mu_
-  std::atomic<Csn> stable_csn_{0};
+  CsnFrontier stable_;
 
   std::function<WallTime()> wall_clock_;
 

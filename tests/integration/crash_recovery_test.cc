@@ -17,6 +17,7 @@
 #include "common/fault_injector.h"
 #include "common/rng.h"
 #include "harness/crash_harness.h"
+#include "ivm/checkpoint.h"
 #include "ivm/maintenance.h"
 #include "storage/wal_codec.h"
 #include "tests/test_util.h"
@@ -262,6 +263,72 @@ TEST_F(CrashRecoveryTest, RecrashIsIdempotent) {
     DeltaRows oracle =
         OracleViewState(gen2.value().db.get(), v2, v2->mv->csn());
     EXPECT_TRUE(NetEquivalent(oracle, v2->mv->AsDeltaRows()));
+  }
+}
+
+// A roll over an empty view-delta window is metadata-only: it logs its
+// kViewApplied mark with no commit behind it, so a log can end in a run of
+// such marks. A crash at every record boundary of that tail must recover
+// the MV to the last applied mark that survived, equal to recomputation
+// there, and resume cleanly.
+TEST(CrashRecoveryMetadataTailTest, MetadataOnlyAppliedTailRecovers) {
+  CaptureOptions copts;
+  copts.truncate_wal = false;
+  TestEnv env(copts);
+  Db* db = env.db();
+  ASSERT_OK_AND_ASSIGN(TwoTableWorkload workload,
+                       TwoTableWorkload::Create(db, 50, 30, 8, 0x7A11));
+  env.CatchUpCapture();
+  ASSERT_OK_AND_ASSIGN(View* view,
+                       env.views()->CreateView("V", workload.ViewDef()));
+  ASSERT_OK(env.views()->Materialize(view));
+  MaintenanceService::Options mopts;
+  mopts.prune_view_delta = false;
+  MaintenanceService service(env.views(), view, mopts);
+  UpdateStream updates(db, workload.RStream(1, 0x7A12), 0x7A12);
+  ASSERT_OK(updates.RunTransactions(5));
+  env.CatchUpCapture();
+  ASSERT_OK(service.Drain(db->stable_csn()));
+
+  // Commits the view does not see (no base-table writes) move the hwm over
+  // empty windows; each drain then rolls metadata-only.
+  const Lsn tail_start = db->wal()->next_lsn();
+  const uint64_t empty_before = service.apply_stats().empty_rolls;
+  for (int i = 0; i < 3; ++i) {
+    std::unique_ptr<Txn> txn = db->Begin();
+    ASSERT_OK(db->Commit(txn.get()));
+    env.CatchUpCapture();
+    ASSERT_OK(service.Drain(db->stable_csn()));
+  }
+  ASSERT_EQ(service.apply_stats().empty_rolls - empty_before, 3u);
+
+  std::vector<WalRecord> records;
+  db->wal()->ReadFrom(0, static_cast<size_t>(-1), &records);
+  ASSERT_EQ(records.back().kind, WalRecord::Kind::kViewApplied);
+  History h;
+  h.workload = workload;
+  Csn applied = kNullCsn;  // last applied mark in the surviving prefix
+  for (size_t keep = 0; keep <= records.size(); ++keep) {
+    if (keep > 0 && records[keep - 1].kind == WalRecord::Kind::kViewApplied) {
+      ViewAppliedBlob blob;
+      ASSERT_TRUE(DecodeViewAppliedBlob(*records[keep - 1].blob, &blob));
+      applied = blob.applied_csn;
+    }
+    if (keep == 0 || records[keep - 1].lsn < tail_start) continue;
+    SCOPED_TRACE("crash after record " + std::to_string(keep) + "/" +
+                 std::to_string(records.size()));
+    std::vector<WalRecord> prefix(records.begin(), records.begin() + keep);
+    const std::string image = EncodeWal(prefix);
+    ASSERT_OK_AND_ASSIGN(RecoveredSystem sys,
+                         CrashAndRecover(image, {{"V", workload.ViewDef()}}));
+    View* rv = sys.views->Find("V");
+    ASSERT_NE(rv, nullptr);
+    ASSERT_EQ(sys.report.views_recovered, 1u);
+    EXPECT_EQ(rv->mv->csn(), applied);
+    DeltaRows oracle = OracleViewState(sys.db.get(), rv, rv->mv->csn());
+    EXPECT_TRUE(NetEquivalent(oracle, rv->mv->AsDeltaRows()))
+        << "recovered MV diverges from recomputation";
+    EXPECT_TRUE(RecoverAndVerify(h, image, /*deep=*/true, /*seed=*/keep));
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injector.h"
+#include "ivm/checkpoint.h"
 #include "ivm/propagate.h"
 #include "tests/test_util.h"
 
@@ -35,6 +37,15 @@ class ApplyTest : public ::testing::Test {
     Propagator prop(env_.views(), view_, std::make_unique<DrainInterval>());
     EXPECT_OK(prop.RunUntil(target));
     return view_->high_water_mark();
+  }
+
+  // Moves the hwm over a window that holds no view-delta rows: a commit
+  // the view does not see (it touches no base table), captured and
+  // propagated. Returns the new hwm.
+  Csn AdvanceHwmOverEmptyWindow() {
+    std::unique_ptr<Txn> txn = env_.db()->Begin();
+    EXPECT_OK(env_.db()->Commit(txn.get()));
+    return UpdateAndPropagate(0, 99);
   }
 
   // The MV should equal the oracle state at its materialization time.
@@ -154,6 +165,68 @@ TEST_F(ApplyTest, WallClockPointInTimeRefresh) {
                              std::chrono::minutes(30)));  // 4:30pm
   EXPECT_EQ(rolled, four_pm_csn);  // last commit at or before 4:30pm
   EXPECT_TRUE(MvMatchesOracle());
+}
+
+// A roll over an empty view-delta window is metadata-only: the
+// materialization time and the durable applied mark advance, but nothing
+// commits, so no CSN is consumed and the contents (and digest) stay put.
+TEST_F(ApplyTest, EmptyWindowRollIsMetadataOnly) {
+  Csn hwm = UpdateAndPropagate(10, 7);
+  Applier applier(env_.views(), view_);
+  ASSERT_OK(applier.RollTo(hwm));
+  EXPECT_EQ(applier.stats().empty_rolls, 0u);  // that window held rows
+  Csn empty_hwm = AdvanceHwmOverEmptyWindow();
+  ASSERT_GT(empty_hwm, hwm);
+  ASSERT_TRUE(view_->view_delta->Scan(CsnRange{hwm, empty_hwm}).empty());
+
+  const ViewDigest digest = view_->mv->digest();
+  const Csn stable = env_.db()->stable_csn();
+  const Lsn lsn = env_.db()->wal()->next_lsn();
+  ASSERT_OK(applier.RollTo(empty_hwm));
+
+  EXPECT_EQ(view_->mv->csn(), empty_hwm);
+  EXPECT_EQ(applier.stats().rolls, 2u);
+  EXPECT_EQ(applier.stats().empty_rolls, 1u);
+  EXPECT_EQ(env_.db()->stable_csn(), stable) << "metadata roll committed";
+  EXPECT_TRUE(view_->mv->digest() == digest);
+  std::vector<WalRecord> tail;
+  env_.db()->wal()->ReadFrom(lsn, 1000, &tail);
+  int applied = 0;
+  for (const WalRecord& rec : tail) {
+    EXPECT_NE(rec.kind, WalRecord::Kind::kCommit);
+    if (rec.kind != WalRecord::Kind::kViewApplied) continue;
+    ViewAppliedBlob blob;
+    ASSERT_TRUE(DecodeViewAppliedBlob(*rec.blob, &blob));
+    EXPECT_EQ(blob.applied_csn, empty_hwm);
+    ++applied;
+  }
+  EXPECT_EQ(applied, 1);
+  // Def. 4.2: the unchanged contents are the view's state at the new CSN.
+  EXPECT_TRUE(MvMatchesOracle());
+}
+
+// Scrub corruption drills model damage landing in a freshly rolled extent;
+// the metadata-only path is still a roll, so the hook fires there too.
+TEST_F(ApplyTest, CorruptionDrillFiresOnBothRollPaths) {
+  Csn hwm = UpdateAndPropagate(6, 8);
+  FaultInjector::Options fopts;
+  fopts.seed = 0xD1;
+  fopts.digest_tamper_probability = 1.0;
+  FaultInjector fi(fopts);
+  env_.db()->SetFaultInjector(&fi);
+  Applier applier(env_.views(), view_);
+  ASSERT_OK(applier.RollTo(hwm));
+  EXPECT_EQ(fi.GetStats().injected_digest_tampers, 1u);
+
+  env_.db()->SetFaultInjector(nullptr);
+  Csn empty_hwm = AdvanceHwmOverEmptyWindow();
+  env_.db()->SetFaultInjector(&fi);
+  const ViewDigest tampered = view_->mv->digest();
+  ASSERT_OK(applier.RollTo(empty_hwm));
+  env_.db()->SetFaultInjector(nullptr);
+  EXPECT_EQ(applier.stats().empty_rolls, 1u);
+  EXPECT_EQ(fi.GetStats().injected_digest_tampers, 2u);
+  EXPECT_FALSE(view_->mv->digest() == tampered);
 }
 
 TEST_F(ApplyTest, MergeRejectsNegativeCounts) {

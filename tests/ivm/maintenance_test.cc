@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "common/fault_injector.h"
+#include "obs/registry.h"
 #include "tests/test_util.h"
 
 namespace rollview {
@@ -64,6 +68,55 @@ TEST_F(MaintenanceTest, BackgroundDriversChaseUpdates) {
   EXPECT_TRUE(MvMatchesOracle());
   EXPECT_GT(service.runner_stats()->queries, 0u);
   EXPECT_GT(service.apply_stats().rolls, 0u);
+}
+
+// Regression: an idle pipeline goes quiet. When every apply roll committed
+// a transaction, the commit's CSN was new delta-ready input: the propagator
+// skip-stepped over it, advanced the hwm, and triggered the next roll -- a
+// commit (an fsync, with a file-backed WAL) every couple of milliseconds,
+// forever. Rolls over empty windows are now metadata-only.
+TEST_F(MaintenanceTest, IdlePipelineGoesQuiet) {
+  obs::MetricsRegistry registry;
+  MaintenanceService service(env_.views(), view_);
+  service.RegisterMetrics(&registry);
+  service.Start();
+  RunUpdates(25, 21);
+  ASSERT_OK(service.Drain(env_.db()->stable_csn()));
+
+  // The burst's tail (its own propagation and apply commits) settles within
+  // a few hand-offs; wait until the stable CSN holds still for 100 ms.
+  Db* db = env_.db();
+  const auto settle_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  Csn last = db->stable_csn();
+  auto last_change = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - last_change <
+             std::chrono::milliseconds(100) &&
+         std::chrono::steady_clock::now() < settle_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (db->stable_csn() != last) {
+      last = db->stable_csn();
+      last_change = std::chrono::steady_clock::now();
+    }
+  }
+
+  const obs::Labels lv{{"view", "V"}};
+  const Csn csn0 = db->stable_csn();
+  const Lsn lsn0 = db->wal()->next_lsn();
+  const uint64_t rolls0 =
+      registry.Snapshot().CounterValue("rollview_apply_rolls_total", lv);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  obs::MetricsSnapshot idle = registry.Snapshot();
+  EXPECT_EQ(db->stable_csn(), csn0) << "idle pipeline keeps committing";
+  EXPECT_EQ(db->wal()->next_lsn(), lsn0) << "idle pipeline keeps logging";
+  EXPECT_EQ(idle.CounterValue("rollview_apply_rolls_total", lv), rolls0)
+      << "idle pipeline keeps rolling";
+  EXPECT_EQ(idle.GaugeValue("rollview_view_staleness_csn", lv), 0);
+  EXPECT_EQ(view_->mv->csn(), csn0);
+
+  ASSERT_OK(service.Stop());
+  EXPECT_GT(service.apply_stats().empty_rolls, 0u);
+  EXPECT_TRUE(MvMatchesOracle());
 }
 
 TEST_F(MaintenanceTest, PropagateAlgorithmOptionWorksToo) {

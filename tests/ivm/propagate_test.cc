@@ -80,7 +80,7 @@ TEST_F(PropagateTest, SmallAndLargeIntervalsAgree) {
   ASSERT_OK_AND_ASSIGN(View* v2,
                        env_.views()->CreateView("V2", workload_.ViewDef()));
   v2->propagate_from.store(t0_);
-  v2->delta_hwm.store(t0_);
+  v2->delta_hwm.Reset(t0_);
   Propagator coarse(env_.views(), v2, std::make_unique<DrainInterval>());
   ASSERT_OK(coarse.RunUntil(ready));
   DeltaRows coarse_delta = v2->view_delta->Scan(CsnRange{t0_, ready});

@@ -134,7 +134,7 @@ TEST_F(RollingTest, SignedRegionCoverageMatchesFigures) {
                      mode == CompensationMode::kFrontier ? "Vf" : "Vd",
                      workload_.ViewDef()));
     v->propagate_from.store(t0_);
-    v->delta_hwm.store(t0_);
+    v->delta_hwm.Reset(t0_);
     std::vector<std::unique_ptr<IntervalPolicy>> policies;
     policies.push_back(std::make_unique<FixedInterval>(4));
     policies.push_back(std::make_unique<FixedInterval>(9));
@@ -174,7 +174,7 @@ TEST_F(RollingTest, FewerComputeDeltaCallsThanPropagateForSameHistory) {
   ASSERT_OK_AND_ASSIGN(View* v2, env_.views()->CreateView(
                                      "V2", workload_.ViewDef()));
   v2->propagate_from.store(t0_);
-  v2->delta_hwm.store(t0_);
+  v2->delta_hwm.Reset(t0_);
   Propagator plain(env_.views(), v2,
                    std::make_unique<FixedInterval>(5));
   ASSERT_OK(plain.RunUntil(target));

@@ -121,7 +121,7 @@ TEST_F(SharedPropagateTest, OnePropagationStreamForAllMembers) {
   ASSERT_OK_AND_ASSIGN(View* solo,
                        env_.views()->CreateView("solo", workload_.ViewDef()));
   solo->propagate_from.store(t0_);
-  solo->delta_hwm.store(t0_);
+  solo->delta_hwm.Reset(t0_);
   std::vector<std::unique_ptr<IntervalPolicy>> ps;
   ps.push_back(std::make_unique<TargetRowsInterval>(256));
   ps.push_back(std::make_unique<TargetRowsInterval>(256));

@@ -129,7 +129,7 @@ TEST_F(SnapshotPropagateTest, AgreesWithCompensationBasedPropagation) {
   ASSERT_OK_AND_ASSIGN(View* v2,
                        env_.views()->CreateView("V2", workload_.ViewDef()));
   v2->propagate_from.store(t0_);
-  v2->delta_hwm.store(t0_);
+  v2->delta_hwm.Reset(t0_);
   RollingPropagator rolling(env_.views(), v2, /*uniform_interval=*/4);
   ASSERT_OK(rolling.RunUntil(target));
   DeltaRows rolling_delta = v2->view_delta->Scan(CsnRange{t0_, target});

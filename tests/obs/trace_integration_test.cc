@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injector.h"
@@ -102,6 +104,22 @@ TEST(TraceIntegrationTest, FaultStormJournalsCompleteSpanTrees) {
   }
   for (auto& w : updaters) w->Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // The undo path needs a step whose forward query committed before one of
+  // its compensation queries took an injected abort, and compensation only
+  // runs when the other relation changed inside the strip's short drift
+  // window. Keep the storm going (bounded) until the journal holds such a
+  // step, so the undo assertions below always have one to check.
+  auto has_undo = [&service] {
+    for (const obs::StepTrace& t : service.trace_journal()->Snapshot()) {
+      if (t.undone) return true;
+    }
+    return false;
+  };
+  const auto storm_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!has_undo() && std::chrono::steady_clock::now() < storm_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
   for (auto& w : updaters) ASSERT_OK(w->Join());
 
   ASSERT_OK(service.Drain(env.db()->stable_csn()));

@@ -241,7 +241,7 @@ TEST_F(DeltaProgramPropagationTest, CompiledMatchesInterpreted) {
   ASSERT_OK_AND_ASSIGN(View* v2,
                        env_.views()->CreateView("V2", workload_.ViewDef()));
   v2->propagate_from.store(t0_);
-  v2->delta_hwm.store(t0_);
+  v2->delta_hwm.Reset(t0_);
   PropagatorOptions interp_opts;
   interp_opts.runner.use_compiled_programs = false;
   Propagator interpreted(env_.views(), v2,
