@@ -22,18 +22,20 @@
 // plus cross-table transactions that interleave lock orders with the
 // propagation strips, manufacturing real maintenance-vs-OLTP deadlock
 // cycles). The fixed arm runs the open-loop rows-per-query target; the
-// adaptive arm runs the AIMD IntervalController with a staleness SLO and
-// live shedding/backpressure wiring. Claim: the adaptive arm volunteers
-// fewer maintenance deadlock victims and keeps OLTP p99 lock waits no
-// worse, while staleness stays within the SLO.
+// adaptive arm runs the AIMD IntervalController with a time-domain
+// freshness SLO and live shedding/backpressure wiring. Claim: the adaptive
+// arm volunteers fewer maintenance deadlock victims and keeps OLTP p99
+// lock waits no worse. The arms run interleaved for kReps repetitions and
+// the JSON rows carry per-field medians.
 //
 // Usage:
 //   bench_contention                     full E3 + E12 sweep, writes
 //                                        BENCH_contention.json
-//   bench_contention --smoke [baseline]  E12 arms only at a short run;
+//   bench_contention --smoke [baseline]  E12 arms only, one short rep each;
 //                                        structural assertions + baseline
 //                                        sanity (the perf-smoke ctest label)
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -43,6 +45,7 @@
 #include "harness/worker.h"
 #include "ivm/maintenance.h"
 #include "ivm/snapshot_propagate.h"
+#include "obs/freshness.h"
 
 namespace rollview {
 namespace bench {
@@ -223,26 +226,32 @@ RowResult RunMode(const std::string& mode) {
 
 // --- E12: fixed vs adaptive MaintenanceService under antagonist load ---
 
-constexpr Csn kStalenessSlo = 1500;    // CSN units; generous vs observed
+// Time-domain staleness target of the adaptive arm's freshness SLO.
+constexpr uint64_t kSloTargetNanos = 1500ull * 1000 * 1000;
 constexpr size_t kFixedTargetRows = 1024;
+constexpr int kReps = 5;
 
+// One arm's run. Every count is scraped from the metrics registry after
+// the drain (oltp_p99_wait_us from the per-class lock-wait histogram);
+// avg_stale and avg_stale_ms come from a 20 ms sampler.
 struct SvcResult {
   std::string arm;
   uint64_t updater_txns = 0;
   uint64_t updater_retries = 0;   // OLTP aborts absorbed by stream retry
-  uint64_t oltp_p99_wait_us = 0;  // per-class lock-wait histogram p99
+  uint64_t oltp_p99_wait_us = 0;
+  uint64_t oltp_waits = 0;
   uint64_t maint_victims = 0;     // maintenance deadlock-victim aborts
   uint64_t maint_timeouts = 0;
   uint64_t transients = 0;        // supervisor-absorbed step failures
   uint64_t queries = 0;
-  uint64_t avg_stale = 0;
+  uint64_t avg_stale = 0;         // CSNs behind the stable CSN
+  double avg_stale_ms = 0;        // age of the oldest invisible commit
   uint64_t target_end = 0;
+  uint64_t shrinks = 0;
+  uint64_t grows = 0;
   uint64_t sheds = 0;
   double drain_ms = 0;
   std::string outcome;
-  // Everything the service and lock manager export, scraped after the
-  // drain; the JSON row reads straight from here via RegistryRowEmitter.
-  obs::MetricsSnapshot snapshot;
 };
 
 SvcResult RunServiceArm(bool adaptive, int run_millis) {
@@ -265,7 +274,13 @@ SvcResult RunServiceArm(bool adaptive, int run_millis) {
   env.capture.Start();
   env.db.lock_manager()->ResetStats();
 
+  // Both arms carry the same freshness instrumentation; only the adaptive
+  // arm sheds on it.
+  obs::FreshnessTracker tracker;
+  env.db.SetFreshnessTracker(&tracker);
+
   MaintenanceService::Options mopts;
+  mopts.freshness = &tracker;
   mopts.runner.max_retries = 0;  // the supervisor owns the retry policy
   mopts.runner.capture_wait_timeout = std::chrono::milliseconds(50);
   mopts.backoff.initial = std::chrono::microseconds(100);
@@ -275,11 +290,11 @@ SvcResult RunServiceArm(bool adaptive, int run_millis) {
     mopts.controller.initial_target_rows = kFixedTargetRows;
     mopts.controller.min_target_rows = 32;
     mopts.controller.max_target_rows = 4096;
-    mopts.controller.staleness_slo = kStalenessSlo;
+    mopts.freshness_slo.target_staleness_nanos = kSloTargetNanos;
     // The antagonists never stop, so a fast pause decay just oscillates:
     // calm windows bleed the pace off and the next strip re-collides. Keep
-    // the pause sticky and let the SLO state machine bound the staleness
-    // cost instead.
+    // the pause sticky and let the freshness SLO bound the staleness cost
+    // instead.
     mopts.controller.pause_max = std::chrono::microseconds(50000);
     mopts.controller.pause_decay = 0.9;
   } else {
@@ -371,12 +386,15 @@ SvcResult RunServiceArm(bool adaptive, int run_millis) {
     cross_workers.push_back(std::make_unique<Worker>(cross_body, opts));
   }
 
-  // Staleness sampler: stable CSN minus MV CSN, every 20 ms.
+  // Staleness sampler, every 20 ms: stable CSN minus MV CSN, and the age
+  // of the oldest commit the view does not show yet.
   Counter staleness_samples;
   Counter staleness_sum;
+  Counter staleness_nanos_sum;
   Worker staleness_worker(
       [&]() -> Status {
         staleness_sum.Add(env.db.stable_csn() - view->mv->csn());
+        staleness_nanos_sum.Add(service.freshness()->StalenessNanos());
         staleness_samples.Add();
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return Status::OK();
@@ -406,34 +424,40 @@ SvcResult RunServiceArm(bool adaptive, int run_millis) {
   }
   for (auto& s : streams) out.updater_retries += s->stats().aborts_retried;
   out.updater_retries += cross_retries.load();
-  out.snapshot = registry.Snapshot();
-  const obs::MetricsSnapshot& snap = out.snapshot;
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const obs::Labels lv{{"view", "V"}};
   const obs::HistogramSummary* oltp_wait =
       snap.Histogram("rollview_lock_wait_latency", {{"class", "oltp"}});
   out.oltp_p99_wait_us = oltp_wait == nullptr ? 0 : oltp_wait->p99 / 1000;
+  out.oltp_waits =
+      snap.CounterValue("rollview_lock_waits_total", {{"class", "oltp"}});
   out.maint_victims = snap.CounterValue("rollview_lock_deadlock_victims_total",
                                         {{"class", "maintenance"}});
   out.maint_timeouts = snap.CounterValue("rollview_lock_timeouts_total",
                                          {{"class", "maintenance"}});
-  out.transients =
-      snap.CounterValue(
-          "rollview_step_total",
-          {{"view", "V"}, {"driver", "propagate"},
-           {"outcome", "transient_error"}}) +
-      snap.CounterValue("rollview_step_total",
-                        {{"view", "V"}, {"driver", "apply"},
-                         {"outcome", "transient_error"}});
+  for (const char* driver : {"propagate", "apply"}) {
+    out.transients += snap.CounterValue(
+        "rollview_step_total",
+        {{"view", "V"}, {"driver", driver}, {"outcome", "transient_error"}});
+  }
   out.queries = snap.CounterTotal("rollview_queries_total");
-  out.avg_stale = staleness_samples.value() == 0
-                      ? 0
-                      : staleness_sum.value() / staleness_samples.value();
-  out.target_end =
-      static_cast<uint64_t>(snap.GaugeValue("rollview_view_target_rows",
-                                            {{"view", "V"}}));
-  // Fixed arm: the interval-event counters are simply absent, so these
-  // lookups come back 0 -- same zeros the IntervalController-less arm
-  // always reported.
-  out.sheds = snap.CounterValue("rollview_interval_events_total",
+  const uint64_t samples = staleness_samples.value();
+  out.avg_stale = samples == 0 ? 0 : staleness_sum.value() / samples;
+  out.avg_stale_ms =
+      samples == 0
+          ? 0.0
+          : static_cast<double>(staleness_nanos_sum.value()) / 1e6 / samples;
+  out.target_end = static_cast<uint64_t>(
+      snap.GaugeValue("rollview_view_target_rows", lv));
+  // Fixed arm: the interval-event and SLO counters are simply absent, so
+  // these lookups come back 0.
+  for (const char* event : {"shrink", "transient_shrink"}) {
+    out.shrinks += snap.CounterValue("rollview_interval_events_total",
+                                     {{"view", "V"}, {"event", event}});
+  }
+  out.grows = snap.CounterValue("rollview_interval_events_total",
+                                {{"view", "V"}, {"event", "grow"}});
+  out.sheds = snap.CounterValue("rollview_slo_events_total",
                                 {{"view", "V"}, {"event", "shed_entry"}});
   out.outcome = "clean";
   if (!service.last_error().ok()) out.outcome = "recovered";
@@ -443,7 +467,51 @@ SvcResult RunServiceArm(bool adaptive, int run_millis) {
     out.outcome = "FAILED";
   }
   CheckOk(service.Stop(), "stop");
+  env.db.SetFreshnessTracker(nullptr);
   return out;
+}
+
+// Per-field medians over one arm's (non-empty) reps; the outcome is the
+// worst seen.
+SvcResult MedianOf(const std::vector<SvcResult>& reps) {
+  SvcResult m;
+  m.arm = reps.front().arm;
+  auto med = [&reps](auto field) {
+    std::vector<double> values;
+    for (const SvcResult& r : reps) {
+      values.push_back(static_cast<double>(r.*field));
+    }
+    std::sort(values.begin(), values.end());
+    const size_t n = values.size();
+    return n % 2 == 1 ? values[n / 2]
+                      : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  };
+  auto imed = [&med](auto field) {
+    return static_cast<uint64_t>(med(field) + 0.5);
+  };
+  m.updater_txns = imed(&SvcResult::updater_txns);
+  m.updater_retries = imed(&SvcResult::updater_retries);
+  m.oltp_p99_wait_us = imed(&SvcResult::oltp_p99_wait_us);
+  m.oltp_waits = imed(&SvcResult::oltp_waits);
+  m.maint_victims = imed(&SvcResult::maint_victims);
+  m.maint_timeouts = imed(&SvcResult::maint_timeouts);
+  m.transients = imed(&SvcResult::transients);
+  m.queries = imed(&SvcResult::queries);
+  m.avg_stale = imed(&SvcResult::avg_stale);
+  m.avg_stale_ms = med(&SvcResult::avg_stale_ms);
+  m.target_end = imed(&SvcResult::target_end);
+  m.shrinks = imed(&SvcResult::shrinks);
+  m.grows = imed(&SvcResult::grows);
+  m.sheds = imed(&SvcResult::sheds);
+  m.drain_ms = med(&SvcResult::drain_ms);
+  auto severity = [](const std::string& outcome) {
+    return outcome == "FAILED" ? 2 : outcome == "recovered" ? 1 : 0;
+  };
+  m.outcome = "clean";
+  for (const SvcResult& r : reps) {
+    if (severity(r.outcome) > severity(m.outcome)) m.outcome = r.outcome;
+  }
+  return m;
 }
 
 // Returns true when the committed baseline mentions both arms -- the
@@ -471,54 +539,60 @@ int RunE12(JsonReport* report, bool smoke) {
          "within the SLO.");
 
   const int run_millis = smoke ? 500 : kRunMillis;
-  TablePrinter table({"arm", "upd_txns", "retries", "oltp_p99w_us", "victims",
-                      "m_timeouts", "transients", "queries", "avg_stale",
-                      "target_end", "sheds", "outcome"},
+  const int reps = smoke ? 1 : kReps;
+  TablePrinter table({"arm", "rep", "upd_txns", "retries", "oltp_p99w_us",
+                      "victims", "m_timeouts", "transients", "queries",
+                      "avg_stale", "stale_ms", "target_end", "sheds",
+                      "outcome"},
                      13);
   table.PrintHeader();
-  SvcResult rows[2];
-  for (int arm = 0; arm < 2; ++arm) {
-    SvcResult r = RunServiceArm(/*adaptive=*/arm == 1, run_millis);
-    table.PrintRow({r.arm, FmtInt(r.updater_txns), FmtInt(r.updater_retries),
-                    FmtInt(r.oltp_p99_wait_us), FmtInt(r.maint_victims),
-                    FmtInt(r.maint_timeouts), FmtInt(r.transients),
-                    FmtInt(r.queries), FmtInt(r.avg_stale),
+  auto print = [&table](const SvcResult& r, const std::string& rep) {
+    table.PrintRow({r.arm, rep, FmtInt(r.updater_txns),
+                    FmtInt(r.updater_retries), FmtInt(r.oltp_p99_wait_us),
+                    FmtInt(r.maint_victims), FmtInt(r.maint_timeouts),
+                    FmtInt(r.transients), FmtInt(r.queries),
+                    FmtInt(r.avg_stale), Fmt(r.avg_stale_ms, 1),
                     FmtInt(r.target_end), FmtInt(r.sheds), r.outcome});
-    if (report != nullptr) {
-      report->BeginRow();
-      RegistryRowEmitter emit(report, &r.snapshot);
-      emit.Str("mode", r.arm);
-      emit.Int("updater_txns", r.updater_txns);
-      emit.Int("updater_retries", r.updater_retries);
-      emit.PercentileMicros("oltp_p99_wait_us", "rollview_lock_wait_latency",
-                            {{"class", "oltp"}}, 0.99);
-      emit.Counter("oltp_waits", "rollview_lock_waits_total",
-                   {{"class", "oltp"}});
-      emit.Counter("maint_victims", "rollview_lock_deadlock_victims_total",
-                   {{"class", "maintenance"}});
-      emit.Counter("maint_timeouts", "rollview_lock_timeouts_total",
-                   {{"class", "maintenance"}});
-      emit.CounterSum(
-          "transients", "rollview_step_total",
-          {{{"view", "V"}, {"driver", "propagate"},
-            {"outcome", "transient_error"}},
-           {{"view", "V"}, {"driver", "apply"},
-            {"outcome", "transient_error"}}});
-      emit.CounterTotal("queries", "rollview_queries_total");
-      emit.Int("avg_stale", r.avg_stale);
-      emit.Int("staleness_slo", kStalenessSlo);
-      emit.Gauge("target_end", "rollview_view_target_rows", {{"view", "V"}});
-      emit.CounterSum("shrinks", "rollview_interval_events_total",
-                      {{{"view", "V"}, {"event", "shrink"}},
-                       {{"view", "V"}, {"event", "transient_shrink"}}});
-      emit.Counter("grows", "rollview_interval_events_total",
-                   {{"view", "V"}, {"event", "grow"}});
-      emit.Counter("sheds", "rollview_interval_events_total",
-                   {{"view", "V"}, {"event", "shed_entry"}});
-      emit.Num("drain_ms", r.drain_ms, 3);
-      emit.Str("outcome", r.outcome);
+  };
+  // Interleaved reps, alternating which arm goes first, so host drift
+  // lands on both arms alike.
+  std::vector<SvcResult> runs[2];
+  for (int rep = 0; rep < reps; ++rep) {
+    for (int i = 0; i < 2; ++i) {
+      const int arm = rep % 2 == 0 ? i : 1 - i;
+      runs[arm].push_back(RunServiceArm(/*adaptive=*/arm == 1, run_millis));
+      print(runs[arm].back(), std::to_string(rep));
     }
-    rows[arm] = std::move(r);
+  }
+  SvcResult rows[2] = {MedianOf(runs[0]), MedianOf(runs[1])};
+  for (const SvcResult& r : rows) {
+    print(r, "median");
+    if (report == nullptr) continue;
+    report->BeginRow();
+    // Medians of registry-sourced values.
+    report->MarkRegistrySerializer();
+    report->Str("mode", r.arm);
+    report->Int("reps", static_cast<uint64_t>(reps));
+    report->Int("updater_txns", r.updater_txns);
+    report->Int("updater_retries", r.updater_retries);
+    report->Int("oltp_p99_wait_us", r.oltp_p99_wait_us);
+    report->Int("oltp_waits", r.oltp_waits);
+    report->Int("maint_victims", r.maint_victims);
+    report->Int("maint_timeouts", r.maint_timeouts);
+    report->Int("transients", r.transients);
+    report->Int("queries", r.queries);
+    report->Int("avg_stale", r.avg_stale);
+    report->Num("avg_stale_ms", r.avg_stale_ms, 1);
+    const bool adaptive = r.arm == "adaptive-svc";
+    report->Num("slo_target_ms",
+                adaptive ? static_cast<double>(kSloTargetNanos) / 1e6 : 0.0,
+                1);
+    report->Int("target_end", r.target_end);
+    report->Int("shrinks", r.shrinks);
+    report->Int("grows", r.grows);
+    report->Int("sheds", r.sheds);
+    report->Num("drain_ms", r.drain_ms, 3);
+    report->Str("outcome", r.outcome);
   }
 
   const SvcResult& fixed = rows[0];
@@ -529,15 +603,15 @@ int RunE12(JsonReport* report, bool smoke) {
           : 100.0 * (1.0 - static_cast<double>(adaptive.maint_victims) /
                                static_cast<double>(fixed.maint_victims));
   std::printf(
-      "\nadaptive vs fixed: maintenance victim aborts %llu -> %llu "
-      "(%.0f%% fewer), OLTP p99 lock wait %lluus -> %lluus, avg staleness "
-      "%llu vs SLO %llu\n",
-      static_cast<unsigned long long>(fixed.maint_victims),
+      "\nadaptive vs fixed (medians of %d): maintenance victim aborts %llu "
+      "-> %llu (%.0f%% fewer), OLTP p99 lock wait %lluus -> %lluus, avg "
+      "staleness %.1fms vs SLO target %.1fms, sheds %llu\n",
+      reps, static_cast<unsigned long long>(fixed.maint_victims),
       static_cast<unsigned long long>(adaptive.maint_victims), victim_cut,
       static_cast<unsigned long long>(fixed.oltp_p99_wait_us),
       static_cast<unsigned long long>(adaptive.oltp_p99_wait_us),
-      static_cast<unsigned long long>(adaptive.avg_stale),
-      static_cast<unsigned long long>(kStalenessSlo));
+      adaptive.avg_stale_ms, static_cast<double>(kSloTargetNanos) / 1e6,
+      static_cast<unsigned long long>(adaptive.sheds));
 
   int failures = 0;
   // Structural assertions (timing-independent): no driver death in either
@@ -545,17 +619,22 @@ int RunE12(JsonReport* report, bool smoke) {
   // respected its clamps. The >= 30% victim-abort headline lives in the
   // committed full-sweep baseline, where the run is long enough to be
   // stable; at smoke length it is printed, not asserted.
-  for (const SvcResult& r : rows) {
-    if (r.outcome == "FAILED") {
-      std::fprintf(stderr, "SMOKE FAIL: %s arm ended FAILED\n",
-                   r.arm.c_str());
-      failures++;
+  for (const std::vector<SvcResult>& arm : runs) {
+    for (const SvcResult& r : arm) {
+      if (r.outcome == "FAILED") {
+        std::fprintf(stderr, "SMOKE FAIL: %s arm ended FAILED\n",
+                     r.arm.c_str());
+        failures++;
+      }
     }
   }
-  if (adaptive.target_end < 32 || adaptive.target_end > 4096) {
-    std::fprintf(stderr, "SMOKE FAIL: adaptive target %llu outside clamps\n",
-                 static_cast<unsigned long long>(adaptive.target_end));
-    failures++;
+  for (const SvcResult& r : runs[1]) {
+    if (r.target_end < 32 || r.target_end > 4096) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: adaptive target %llu outside clamps\n",
+                   static_cast<unsigned long long>(r.target_end));
+      failures++;
+    }
   }
   if (!smoke && fixed.maint_victims > 0 &&
       adaptive.maint_victims > fixed.maint_victims) {

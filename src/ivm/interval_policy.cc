@@ -47,7 +47,7 @@ void IntervalController::EscalatePauseLocked() {
   stats_.pace_escalations++;
 }
 
-bool IntervalController::Observe(const ContentionSnapshot& snapshot) {
+void IntervalController::Observe(const ContentionSnapshot& snapshot) {
   std::lock_guard<std::mutex> lk(mu_);
   stats_.observations++;
 
@@ -70,42 +70,6 @@ bool IntervalController::Observe(const ContentionSnapshot& snapshot) {
         static_cast<double>(pause_.count()) * options_.pause_decay));
     if (pause_ < options_.pause_initial) pause_ = std::chrono::microseconds(0);
   }
-
-  if (options_.staleness_slo == 0) return false;
-
-  const bool was_shedding = shedding_;
-  if (!shedding_) {
-    // Enter shedding only for *contention-driven* staleness: a quiet system
-    // with a stale view just needs bigger intervals, not load shedding.
-    if (snapshot.staleness > options_.staleness_slo && contended) {
-      stats_.slo_violations++;
-      if (++consecutive_violations_ >= options_.violations_to_shed) {
-        shedding_ = true;
-        consecutive_violations_ = 0;
-        consecutive_ok_ = 0;
-        stats_.shed_entries++;
-      }
-    } else {
-      consecutive_violations_ = 0;
-    }
-  } else {
-    // Hysteretic exit: staleness must fall well below the SLO (not merely
-    // under it) for several consecutive windows.
-    Csn recover_at = static_cast<Csn>(
-        static_cast<double>(options_.staleness_slo) *
-        options_.recover_fraction);
-    if (snapshot.staleness <= recover_at) {
-      if (++consecutive_ok_ >= options_.ok_to_recover) {
-        shedding_ = false;
-        consecutive_ok_ = 0;
-        consecutive_violations_ = 0;
-        stats_.shed_exits++;
-      }
-    } else {
-      consecutive_ok_ = 0;
-    }
-  }
-  return shedding_ != was_shedding;
 }
 
 void IntervalController::Reset() {
@@ -114,9 +78,6 @@ void IntervalController::Reset() {
                             options_.min_target_rows,
                             options_.max_target_rows);
   pause_ = std::chrono::microseconds(0);
-  shedding_ = false;
-  consecutive_violations_ = 0;
-  consecutive_ok_ = 0;
 }
 
 void IntervalController::OnTransientStepFailure() {
@@ -136,11 +97,6 @@ size_t IntervalController::target_rows() const {
 std::chrono::microseconds IntervalController::recommended_pause() const {
   std::lock_guard<std::mutex> lk(mu_);
   return pause_;
-}
-
-bool IntervalController::shedding() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return shedding_;
 }
 
 IntervalController::Stats IntervalController::GetStats() const {

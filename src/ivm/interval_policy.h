@@ -8,14 +8,13 @@
 // The paper leaves interval choice as an open tuning problem. The
 // IntervalController below closes the loop: it consumes a periodic
 // ContentionSnapshot (per-class lock-manager counters, driver step
-// outcomes, delta backlog, view staleness) and AIMD-adjusts a shared
-// rows-per-query target -- multiplicative shrink when foreground OLTP is
-// suffering (lock waits/timeouts) or maintenance keeps losing deadlocks,
-// additive grow when calm -- which AdaptiveContentionInterval translates
-// into per-relation CSN interval widths via DeltaTable::TsAfterRows. The
-// controller also runs the staleness-SLO hysteresis: sustained violation
-// under contention enters a shedding state (MaintenanceService reacts by
-// pausing non-critical work); recovery is hysteretic.
+// outcomes, delta backlog) and AIMD-adjusts a shared rows-per-query target
+// -- multiplicative shrink when foreground OLTP is suffering (lock
+// waits/timeouts) or maintenance keeps losing deadlocks, additive grow
+// when calm -- which AdaptiveContentionInterval translates into
+// per-relation CSN interval widths via DeltaTable::TsAfterRows. Load
+// shedding is not the controller's job: MaintenanceService sheds on the
+// time-domain freshness SLO and on WAL-full pressure.
 
 #ifndef ROLLVIEW_IVM_INTERVAL_POLICY_H_
 #define ROLLVIEW_IVM_INTERVAL_POLICY_H_
@@ -102,36 +101,28 @@ class DrainInterval : public IntervalPolicy {
 // One observation window of contention signals, assembled by
 // MaintenanceService after each propagation step from *deltas* of the
 // LockManager per-class counters, the driver's own step outcomes, and the
-// propagator's backlog. All fields are windowed counts except backlog_rows
-// and staleness, which are current levels. Staleness is measured in CSN
-// units (stable_csn - view high-water mark), keeping the controller free of
-// wall clocks and therefore deterministic under simulation.
+// propagator's backlog. All fields are windowed counts except backlog_rows,
+// which is a current level. No wall clocks, so the controller is
+// deterministic under simulation.
 struct ContentionSnapshot {
   // Foreground (OLTP-class) suffering: the signal the controller exists to
   // minimize.
   uint64_t oltp_waits = 0;
   uint64_t oltp_timeouts = 0;
-  uint64_t oltp_deadlock_victims = 0;
-  uint64_t oltp_wait_nanos = 0;
-  // Maintenance-class suffering: mostly self-inflicted; victim aborts mean
-  // propagation transactions are repeatedly losing to OLTP.
-  uint64_t maintenance_waits = 0;
-  uint64_t maintenance_timeouts = 0;
+  // Maintenance deadlock victims: propagation transactions repeatedly
+  // losing to OLTP.
   uint64_t maintenance_deadlock_victims = 0;
-  // Driver-level outcomes in the window.
-  uint64_t steps = 0;
+  // Driver-level transient step failures in the window.
   uint64_t step_transient_failures = 0;
-  uint64_t step_nanos = 0;
-  // Current levels.
-  uint64_t backlog_rows = 0;  // captured-but-unpropagated delta rows
-  Csn staleness = 0;          // stable_csn - view high-water mark
+  // Current level: captured-but-unpropagated delta rows.
+  uint64_t backlog_rows = 0;
 };
 
-// Per-view AIMD controller over the rows-per-forward-query target, plus the
-// staleness-SLO shedding state machine. Purely reactive and clock-free: all
-// inputs arrive via Observe()/OnTransientStepFailure(), so unit tests drive
-// it with synthetic snapshot sequences. Thread-safe (the propagate driver
-// mutates it; policies and observers read it).
+// Per-view AIMD controller over the rows-per-forward-query target and the
+// inter-strip pause. Purely reactive and clock-free: all inputs arrive via
+// Observe()/OnTransientStepFailure(), so unit tests drive it with
+// synthetic snapshot sequences. Thread-safe (the propagate driver mutates
+// it; policies and observers read it).
 class IntervalController {
  public:
   struct Options {
@@ -156,15 +147,6 @@ class IntervalController {
     std::chrono::microseconds pause_max{20000};
     double pause_multiplier = 2.0;
     double pause_decay = 0.5;
-    // Staleness SLO in CSN units; 0 disables the shedding state machine.
-    Csn staleness_slo = 0;
-    // Hysteresis: enter shedding after this many consecutive contended
-    // windows violating the SLO ...
-    int violations_to_shed = 3;
-    // ... and leave it after this many consecutive windows with staleness
-    // at or below slo * recover_fraction.
-    int ok_to_recover = 3;
-    double recover_fraction = 0.5;
   };
 
   struct Stats {
@@ -173,36 +155,30 @@ class IntervalController {
     uint64_t grows = 0;              // additive increases
     uint64_t transient_shrinks = 0;  // OnTransientStepFailure decreases
     uint64_t pace_escalations = 0;   // pause increases (either path)
-    uint64_t slo_violations = 0;     // contended windows over the SLO
-    uint64_t shed_entries = 0;
-    uint64_t shed_exits = 0;
   };
 
   IntervalController() : IntervalController(Options{}) {}
   explicit IntervalController(Options options);
 
-  // Feeds one observation window; applies AIMD and advances the shedding
-  // state machine. Returns true if the shedding state changed.
-  bool Observe(const ContentionSnapshot& snapshot);
+  // Feeds one observation window and applies AIMD.
+  void Observe(const ContentionSnapshot& snapshot);
 
   // Immediate multiplicative shrink on a transient step failure (deadlock
   // victim or lock timeout), so the supervisor's retry of the step runs
   // with the smaller interval rather than re-colliding at the old size.
   void OnTransientStepFailure();
 
-  // Restores the AIMD state (row target, pause, SLO streak counters,
-  // shedding flag) to a fresh controller's. Called when the maintenance
-  // driver restarts after kFailed: the contention regime that drove the
-  // target down died with the old driver, and resuming from a stale
-  // minimum would cripple the restarted one. Cumulative stats survive.
+  // Restores the AIMD state (row target, pause) to a fresh controller's.
+  // Called when the maintenance driver restarts after kFailed: the
+  // contention regime that drove the target down died with the old
+  // driver, and resuming from a stale minimum would cripple the restarted
+  // one. Cumulative stats survive.
   void Reset();
 
   // Current rows-per-forward-query target, always within [min, max].
   size_t target_rows() const;
   // Recommended pause before the next propagation step; zero when calm.
   std::chrono::microseconds recommended_pause() const;
-  // True while the SLO state machine is in its shedding state.
-  bool shedding() const;
   Stats GetStats() const;
 
   const Options& options() const { return options_; }
@@ -216,9 +192,6 @@ class IntervalController {
   mutable std::mutex mu_;
   size_t target_rows_;
   std::chrono::microseconds pause_{0};
-  bool shedding_ = false;
-  int consecutive_violations_ = 0;
-  int consecutive_ok_ = 0;
   Stats stats_;
 };
 

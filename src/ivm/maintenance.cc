@@ -25,6 +25,18 @@ const char* DriverHealthName(DriverHealth health) {
   return "?";
 }
 
+const char* SheddingReasonName(SheddingReason reason) {
+  switch (reason) {
+    case SheddingReason::kNone:
+      return "none";
+    case SheddingReason::kWalFull:
+      return "wal_full";
+    case SheddingReason::kStaleness:
+      return "staleness";
+  }
+  return "?";
+}
+
 MaintenanceService::MaintenanceService(ViewManager* views, View* view,
                                        Options options)
     : views_(views), view_(view), options_(options) {
@@ -294,17 +306,14 @@ Status MaintenanceService::PropagateStep(bool* advanced) {
     }
   }
 
-  // Time-domain SLO: evaluated every iteration (advanced or idle -- a
-  // stalled pipeline is exactly when staleness grows), on the thread
-  // driving PropagateStep, where the strips are quiescent and shedding
-  // transitions are race-free (the ApplyShedding contract).
-  if (slo_ != nullptr && s.ok()) {
-    const bool flipped =
-        slo_->Observe(freshness_ch_->StalenessNanos(), freshness_ch_->Now());
-    // Mirror every iteration (not just on flips) so a Start() after a
-    // stop-while-shedding re-converges with the evaluator's latch.
-    slo_shedding_.store(slo_->shedding(), std::memory_order_release);
-    if (flipped) ApplyShedding(shedding());
+  // Time-domain SLO, the staleness input of shedding: evaluated every
+  // iteration -- advanced, idle or failed, since a stalled pipeline is
+  // exactly when staleness grows -- on the thread driving PropagateStep,
+  // where the strips are quiescent and shedding transitions are race-free
+  // (the ApplyShedding contract).
+  if (slo_ != nullptr &&
+      slo_->Observe(freshness_ch_->StalenessNanos(), freshness_ch_->Now())) {
+    UpdateShedding();
   }
   return s;
 }
@@ -336,22 +345,16 @@ void MaintenanceService::ObserveContention() {
   ContentionSnapshot snap;
   snap.oltp_waits = delta(o.waits, o0.waits);
   snap.oltp_timeouts = delta(o.timeouts, o0.timeouts);
-  snap.oltp_deadlock_victims = delta(o.deadlock_victims, o0.deadlock_victims);
-  snap.oltp_wait_nanos = delta(o.wait_nanos, o0.wait_nanos);
-  snap.maintenance_waits = delta(m.waits, m0.waits);
-  snap.maintenance_timeouts = delta(m.timeouts, m0.timeouts);
   snap.maintenance_deadlock_victims =
       delta(m.deadlock_victims, m0.deadlock_victims);
   last_lock_stats_ = now;
 
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
-    const DriverStats& ds = propagate_driver_.stats;
-    snap.steps = delta(ds.steps, last_window_steps_);
+    const uint64_t transient = propagate_driver_.stats.transient_errors;
     snap.step_transient_failures =
-        delta(ds.transient_errors, last_window_transient_errors_);
-    last_window_steps_ = ds.steps;
-    last_window_transient_errors_ = ds.transient_errors;
+        delta(transient, last_window_transient_errors_);
+    last_window_transient_errors_ = transient;
   }
 
   if (parallel_ != nullptr) {
@@ -359,24 +362,29 @@ void MaintenanceService::ObserveContention() {
   } else if (rolling_ != nullptr) {
     snap.backlog_rows = rolling_->BacklogRows();
   }
-  Csn stable = views_->db()->stable_csn();
-  Csn hwm = view_->high_water_mark();
-  snap.staleness = stable > hwm ? stable - hwm : 0;
-
-  staleness_gauge_.Set(static_cast<int64_t>(snap.staleness));
   backlog_gauge_.Set(static_cast<int64_t>(snap.backlog_rows));
-  // shedding() (not the controller's own state) so a controller recovery
-  // cannot lift shedding while the WAL device is still full.
-  if (controller_->Observe(snap)) ApplyShedding(shedding());
-  target_rows_gauge_.Set(static_cast<int64_t>(controller_->target_rows()));
+  controller_->Observe(snap);
+}
+
+void MaintenanceService::UpdateShedding() {
+  SheddingReason reason = SheddingReason::kNone;
+  if (wal_full_) {
+    reason = SheddingReason::kWalFull;
+  } else if (slo_ != nullptr && slo_->shedding()) {
+    reason = SheddingReason::kStaleness;
+  }
+  const SheddingReason was =
+      shedding_reason_.exchange(reason, std::memory_order_acq_rel);
+  const bool on = reason != SheddingReason::kNone;
+  if (on != (was != SheddingReason::kNone)) ApplyShedding(on);
 }
 
 void MaintenanceService::ApplyShedding(bool on) {
   // Build-cache admission off while shedding (its memory and build CPU go
   // back to foreground work); restore the *configured* value on recovery.
   // In parallel mode the strips are quiescent here (shedding transitions
-  // fire from ObserveContention, between rounds), so flipping each strip's
-  // runner is race-free.
+  // fire on the thread driving PropagateStep, between rounds), so
+  // flipping each strip's runner is race-free.
   const bool use_cache = on ? false : options_.runner.use_build_cache;
   if (parallel_ != nullptr) {
     for (uint32_t p = 0; p < parallel_->partitions(); ++p) {
@@ -387,11 +395,9 @@ void MaintenanceService::ApplyShedding(bool on) {
         rolling_ != nullptr ? rolling_->runner() : plain_->runner();
     runner->set_use_build_cache(use_cache);
   }
-  if (checkpointer_ != nullptr && options_.checkpoint_every_steps > 0 &&
-      options_.shedding_checkpoint_stretch > 1) {
+  if (checkpointer_ != nullptr) {
     checkpointer_->set_every_steps(
-        on ? options_.checkpoint_every_steps *
-                 options_.shedding_checkpoint_stretch
+        on ? options_.checkpoint_every_steps * kSheddingCheckpointStretch
            : options_.checkpoint_every_steps);
   }
   // Reflect the mode in health immediately (the driver loop also refreshes
@@ -525,12 +531,11 @@ void MaintenanceService::DriverLoop(Driver* driver,
       driver->consecutive.store(0, std::memory_order_relaxed);
       backoff =
           std::chrono::duration_cast<std::chrono::nanoseconds>(policy.initial);
-      if (driver == &propagate_driver_ &&
-          wal_shedding_.load(std::memory_order_relaxed) && !WalOutOfSpace()) {
-        // Space came back and a step went through: hand shedding control
-        // back to the staleness-SLO machine.
-        wal_shedding_.store(false, std::memory_order_release);
-        ApplyShedding(shedding());
+      if (driver == &propagate_driver_ && wal_full_ && !WalOutOfSpace()) {
+        // Space came back and a step went through: the pressure input
+        // clears (the staleness input may still hold shedding on).
+        wal_full_ = false;
+        UpdateShedding();
       }
       driver->health.store(SteadyHealth(driver), std::memory_order_release);
       if (!advanced) {
@@ -557,10 +562,9 @@ void MaintenanceService::DriverLoop(Driver* driver,
       driver->health.store(DriverHealth::kFailed, std::memory_order_release);
       return;
     }
-    if (wal_full && driver == &propagate_driver_ &&
-        !wal_shedding_.load(std::memory_order_relaxed)) {
-      wal_shedding_.store(true, std::memory_order_release);
-      ApplyShedding(true);
+    if (wal_full && driver == &propagate_driver_ && !wal_full_) {
+      wal_full_ = true;
+      UpdateShedding();
     }
 
     {
@@ -606,11 +610,11 @@ void MaintenanceService::Start() {
       propagate_driver_.health.load(std::memory_order_acquire) ==
           DriverHealth::kFailed) {
     // Restart after a terminal failure: the backoff streak resets below,
-    // and the AIMD controller must reset with it -- its row target, pacing
-    // and shedding posture were tuned for (or collapsed by) the regime
-    // that killed the driver, and resuming them would start the new run
-    // throttled for no observed reason. Cumulative controller stats
-    // survive, so the restart stays visible in telemetry.
+    // and the AIMD controller must reset with it -- its row target and
+    // pacing were tuned for (or collapsed by) the regime that killed the
+    // driver, and resuming them would start the new run throttled for no
+    // observed reason. Cumulative controller stats survive, so the
+    // restart stays visible in telemetry.
     controller_->Reset();
   }
   {
@@ -619,10 +623,10 @@ void MaintenanceService::Start() {
     error_ = Status::OK();
     last_error_ = Status::OK();
   }
-  // The time-domain SLO latch is regime state, like the controller's: a
-  // restart re-evaluates from fresh observations.
-  slo_shedding_.store(false, std::memory_order_release);
-  propagate_driver_.health.store(DriverHealth::kRunning,
+  // The shedding state and its applied actions carry over: both inputs
+  // keep being evaluated, and whichever clears last unwinds the actions
+  // through UpdateShedding.
+  propagate_driver_.health.store(SteadyHealth(&propagate_driver_),
                                  std::memory_order_release);
   propagate_thread_ = std::thread([this] {
     DriverLoop(&propagate_driver_, &propagate_paused_,
@@ -794,9 +798,15 @@ void MaintenanceService::RegisterMetrics(obs::MetricsRegistry* registry) {
   // Sampled at contention observations (kAdaptive only); stays 0 otherwise.
   registry->RegisterGauge("rollview_view_backlog_rows", lv, &backlog_gauge_,
                           owner);
-  registry->RegisterGaugeFn(
-      "rollview_view_shedding", lv,
-      [this] { return static_cast<int64_t>(shedding() ? 1 : 0); }, owner);
+  // Shedding as a state set: one series per reason, the current one 1.
+  for (SheddingReason r : {SheddingReason::kNone, SheddingReason::kWalFull,
+                           SheddingReason::kStaleness}) {
+    registry->RegisterGaugeFn(
+        "rollview_shedding_reason",
+        {{"view", v}, {"reason", SheddingReasonName(r)}},
+        [this, r] { return static_cast<int64_t>(shedding_reason() == r); },
+        owner);
+  }
 
   // Propagation-side counters, read from the post-step mirrors.
   auto runner = [this] {
@@ -1077,8 +1087,7 @@ void MaintenanceService::RegisterMetrics(obs::MetricsRegistry* registry) {
     }
   }
   if (controller_ != nullptr) {
-    // AIMD / shedding state machine events (GetStats copies under the
-    // controller's own mutex).
+    // AIMD events (GetStats copies under the controller's own mutex).
     const IntervalController* ic = controller_.get();
     struct IcEvent {
       const char* name;
@@ -1090,9 +1099,6 @@ void MaintenanceService::RegisterMetrics(obs::MetricsRegistry* registry) {
         {"grow", &IntervalController::Stats::grows},
         {"transient_shrink", &IntervalController::Stats::transient_shrinks},
         {"pace_escalation", &IntervalController::Stats::pace_escalations},
-        {"slo_violation", &IntervalController::Stats::slo_violations},
-        {"shed_entry", &IntervalController::Stats::shed_entries},
-        {"shed_exit", &IntervalController::Stats::shed_exits},
     };
     for (const IcEvent& e : events) {
       auto field = e.field;
@@ -1183,24 +1189,28 @@ void RetentionService::Start() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true)) return;
   thread_ = std::thread([this] {
-    while (running_.load(std::memory_order_relaxed)) {
+    auto stopped = [this] { return !running_.load(std::memory_order_relaxed); };
+    while (!stopped()) {
       if (paused_.load(std::memory_order_relaxed)) {
         skipped_.fetch_add(1, std::memory_order_relaxed);
       } else {
         manager_.PruneOnce();
         passes_.fetch_add(1, std::memory_order_relaxed);
       }
-      auto deadline = std::chrono::steady_clock::now() + period_;
-      while (running_.load(std::memory_order_relaxed) &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      std::unique_lock<std::mutex> lk(stop_mu_);
+      stop_cv_.wait_for(lk, period_, stopped);
     }
   });
 }
 
 void RetentionService::Stop() {
-  if (!running_.exchange(false)) return;
+  {
+    // Flipped under the mutex the periodic thread waits with, so the
+    // wakeup cannot slip between its predicate check and its wait.
+    std::lock_guard<std::mutex> lk(stop_mu_);
+    if (!running_.exchange(false)) return;
+  }
+  stop_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 

@@ -58,12 +58,24 @@
 namespace rollview {
 
 // Health of one background driver. kStopped: not started or cleanly
-// stopped. kShedding: making progress but the staleness SLO is violated
-// under contention, so non-critical work is paused (see
-// Options::controller). kFailed is terminal until the next Start().
+// stopped. kShedding: making progress while the service sheds load, so
+// non-critical work is paused (see SheddingReason). kFailed is terminal
+// until the next Start().
 enum class DriverHealth { kStopped, kRunning, kShedding, kDegraded, kFailed };
 
 const char* DriverHealthName(DriverHealth health);
+
+// Why the service is shedding load: one state fed by two typed inputs.
+// kWalFull is pressure -- the durable WAL is out of space, so maintenance
+// runs at reduced cost until the flusher drains. kStaleness is the
+// time-domain freshness SLO (Options::freshness_slo) burning its error
+// budget. When both inputs hold, kWalFull wins: a full device is the hard
+// limit, and a stalled WAL is usually why the staleness budget burns.
+enum class SheddingReason : uint8_t { kNone, kWalFull, kStaleness };
+
+// "none", "wal_full" or "staleness": the reason label of the
+// rollview_shedding_reason gauge.
+const char* SheddingReasonName(SheddingReason reason);
 
 // Capped exponential backoff with symmetric jitter: the n-th consecutive
 // failure sleeps min(initial * multiplier^(n-1), max) scaled by a uniform
@@ -94,7 +106,7 @@ class MaintenanceService {
     // Interval sizing. kTargetRows is the open-loop policy (a fixed
     // rows-per-query target); kAdaptive closes the loop with an
     // IntervalController fed by post-step ContentionSnapshots -- AIMD on
-    // the row target plus the staleness-SLO shedding machine.
+    // the row target and on the pause between strips.
     enum class IntervalMode { kTargetRows, kAdaptive };
     IntervalMode interval_mode = IntervalMode::kTargetRows;
     // Open-loop target (delta rows per forward query), applied to every
@@ -111,8 +123,7 @@ class MaintenanceService {
     // falls back to the serial propagator and records the reason (see
     // partition_fallback()).
     uint32_t propagate_partitions = 1;
-    // kAdaptive configuration, including the staleness SLO
-    // (controller.staleness_slo, CSN units; 0 keeps shedding disabled).
+    // kAdaptive configuration.
     IntervalController::Options controller;
     // Run the apply driver (roll the MV to the high-water mark as it
     // advances). Point-in-time users leave this off and roll manually.
@@ -146,15 +157,15 @@ class MaintenanceService {
     uint64_t scrub_every_steps = 0;
     ScrubOptions scrub;
 
-    // --- Shedding actions (kAdaptive with a staleness SLO only) ---
-    // While shedding: checkpoint cadence is multiplied by this factor
-    // (checkpoints are a safety net, not progress) and build-cache
-    // admission is turned off (memory/CPU for foreground work).
-    uint64_t shedding_checkpoint_stretch = 4;
-    // Invoked on every shedding transition (true = entered, false =
-    // recovered), from the propagate driver thread, outside internal
-    // locks. Harness wiring point for retention pause and UpdateStream
-    // worker backpressure.
+    // --- Shedding actions ---
+    // While shedding (for any SheddingReason), checkpoint cadence is
+    // multiplied by kSheddingCheckpointStretch (checkpoints are a safety
+    // net, not progress) and build-cache admission is turned off
+    // (memory/CPU for foreground work). on_shedding is invoked when the
+    // combined shedding state changes (true = entered, false = recovered)
+    // -- never on an input flip that leaves it unchanged -- from the
+    // thread driving propagation, outside internal locks. Harness wiring
+    // point for retention pause and UpdateStream worker backpressure.
     std::function<void(bool)> on_shedding;
 
     // --- Telemetry ---
@@ -173,12 +184,15 @@ class MaintenanceService {
     // wired separately via Db::SetFreshnessTracker).
     obs::FreshnessTracker* freshness = nullptr;
     // Time-domain staleness SLO over the freshness tracker's staleness
-    // signal (ignored unless `freshness` is set). When its burn rate trips,
-    // the service sheds exactly like the controller's CSN-unit SLO machine
-    // (same ApplyShedding actions, same on_shedding hook, kShedding
-    // health); target_staleness_nanos == 0 (the default) disables it.
+    // signal (ignored unless `freshness` is set): the staleness input of
+    // shedding. While its burn-rate evaluator latches, the service sheds
+    // with SheddingReason::kStaleness; target_staleness_nanos == 0 (the
+    // default) disables it.
     obs::FreshnessSloOptions freshness_slo;
   };
+
+  // Checkpoint cadence multiplier while shedding.
+  static constexpr uint64_t kSheddingCheckpointStretch = 4;
 
   MaintenanceService(ViewManager* views, View* view)
       : MaintenanceService(views, view, Options{}) {}
@@ -249,20 +263,14 @@ class MaintenanceService {
   const IntervalController* interval_controller() const {
     return controller_.get();
   }
-  // True while load is being shed: the staleness-SLO machine tripped, or
-  // the durable WAL is out of space (maintenance then runs at reduced cost
-  // until the flusher drains). Mirrored into propagate_health() as
-  // kShedding.
-  bool shedding() const {
-    return wal_shedding_.load(std::memory_order_acquire) ||
-           slo_shedding_.load(std::memory_order_acquire) ||
-           (controller_ != nullptr && controller_->shedding());
+  // Why load is being shed right now (kNone when it is not). Mirrored
+  // into propagate_health() as kShedding.
+  SheddingReason shedding_reason() const {
+    return shedding_reason_.load(std::memory_order_acquire);
   }
-  // Level gauges sampled at each contention observation (kAdaptive only):
-  // view staleness in CSN units, the controller's current rows-per-query
-  // target, and the captured-but-unpropagated backlog.
-  const Gauge& staleness_gauge() const { return staleness_gauge_; }
-  const Gauge& target_rows_gauge() const { return target_rows_gauge_; }
+  bool shedding() const { return shedding_reason() != SheddingReason::kNone; }
+  // Captured-but-unpropagated backlog, sampled at each contention
+  // observation (kAdaptive only).
   const Gauge& backlog_gauge() const { return backlog_gauge_; }
 
   // The step-trace journal; null unless Options::trace_journal_capacity
@@ -278,7 +286,7 @@ class MaintenanceService {
   // Registers this view's maintenance telemetry on `registry` under
   // rollview_* names labeled {view="<name>"} (see docs/ALGORITHMS.md §10):
   // per-driver step outcomes and supervision counters, derived per-view
-  // gauges (staleness in CSNs, hwm, backlog, shedding state), propagation
+  // gauges (staleness in CSNs, hwm, backlog, shedding reason), propagation
   // query/exec/compute-delta counters, apply and checkpoint counters, and
   // the interval-controller events. Safe to call before or after Start();
   // snapshots may be taken while the drivers run (driver-local stats are
@@ -300,12 +308,17 @@ class MaintenanceService {
   Status PropagateStep(bool* advanced);
   Status ApplyStep(bool* advanced);
   // Builds a ContentionSnapshot from windowed deltas of the lock-manager
-  // per-class stats and the driver counters, feeds the controller, and
-  // applies shedding transitions. Propagate driver thread only.
+  // per-class stats and the driver counters and feeds the controller.
+  // Propagate driver thread only.
   void ObserveContention();
+  // Recomputes the shedding reason from its two inputs (wal_full_ and the
+  // freshness SLO latch) and runs ApplyShedding when the combined state
+  // changes. Called on every input flip, from the thread driving
+  // PropagateStep.
+  void UpdateShedding();
   void ApplyShedding(bool on);
   // The health a healthy propagate step should report: kShedding while the
-  // controller is shedding, else kRunning.
+  // service sheds, else kRunning.
   DriverHealth SteadyHealth(const Driver* driver) const;
   // The supervised driver loop: runs `step` until stopped, absorbing
   // transient errors per the backoff policy and health state machine. A
@@ -367,9 +380,6 @@ class MaintenanceService {
   std::unique_ptr<IntervalController> controller_;
   LockManager::Stats last_lock_stats_;
   uint64_t last_window_transient_errors_ = 0;
-  uint64_t last_window_steps_ = 0;
-  Gauge staleness_gauge_;
-  Gauge target_rows_gauge_;
   Gauge backlog_gauge_;
 
   // Telemetry. The tracers are single-threaded builders, one per driver
@@ -406,20 +416,22 @@ class MaintenanceService {
   // on it.
   CsnFrontier applied_;
 
-  // Freshness pipeline (null/false when Options::freshness is unset). The
-  // SLO latch is flipped only by the propagate driver (or a synchronous
-  // Drain caller); read by shedding().
+  // Freshness pipeline (null when Options::freshness is unset). The SLO is
+  // observed only by the thread driving PropagateStep.
   obs::ViewFreshness* freshness_ch_ = nullptr;
   // Start time of the running propagation step (or partitioned round), for
   // the pickup stamp PublishHwm takes.
   std::atomic<uint64_t> strip_start_nanos_{0};
   std::unique_ptr<obs::FreshnessSlo> slo_;
-  std::atomic<bool> slo_shedding_{false};
+
+  // Shedding. wal_full_ is the pressure input: latched by the propagate
+  // driver on an ENOSPC-stalled WAL, cleared on the first successful step
+  // once space returns (propagate driver thread only). The combined
+  // state is published for shedding() and the reason gauge.
+  bool wal_full_ = false;
+  std::atomic<SheddingReason> shedding_reason_{SheddingReason::kNone};
 
   Driver propagate_driver_{"propagate"};
-  // Latched by the propagate driver on an ENOSPC-stalled WAL; cleared on
-  // the first successful step once space returns. Read by shedding().
-  std::atomic<bool> wal_shedding_{false};
   Driver apply_driver_{"apply"};
   mutable std::mutex stats_mu_;
 
@@ -459,6 +471,10 @@ class RetentionService {
   std::chrono::milliseconds period_;
   std::thread thread_;
   std::atomic<bool> running_{false};
+  // The periodic thread sleeps on stop_cv_ until its next pass is due;
+  // Stop() wakes it.
+  std::mutex stop_mu_;
+  std::condition_variable stop_cv_;
   std::atomic<bool> paused_{false};
   std::atomic<uint64_t> passes_{0};
   std::atomic<uint64_t> skipped_{0};

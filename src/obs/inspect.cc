@@ -59,6 +59,24 @@ std::string MillisCell(uint64_t nanos) {
   return buf;
 }
 
+// The shedding cell: the reason label of the view's
+// rollview_shedding_reason series that reads 1, or `-` when the view
+// exports no such gauge.
+std::string SheddingCell(const MetricsSnapshot& snapshot,
+                         const std::string& view) {
+  std::string reason = "-";
+  for (const Sample& s : snapshot.samples()) {
+    if (s.name != "rollview_shedding_reason" || s.gauge == 0) continue;
+    std::string sample_view, sample_reason;
+    for (const auto& [k, v] : s.labels) {
+      if (k == "view") sample_view = v;
+      if (k == "reason") sample_reason = v;
+    }
+    if (sample_view == view) reason = sample_reason;
+  }
+  return reason;
+}
+
 // The views present in a snapshot: the label values of the hwm gauge every
 // maintained view registers.
 std::set<std::string> ViewsIn(const MetricsSnapshot& snapshot) {
@@ -119,7 +137,6 @@ std::string RenderViewDigest(const MetricsSnapshot& snapshot) {
     // Find-based cells: a gauge the view never registered (e.g. shedding
     // telemetry on a non-adaptive service snapshotted by a bare registry)
     // renders as `-`, not a fake 0.
-    const Sample* shed = snapshot.Find("rollview_view_shedding", lv);
     Append(&out,
            "  %-12s hwm=%s mv=%s staleness=%s target_rows=%s backlog=%s"
            " shedding=%s\n",
@@ -129,7 +146,7 @@ std::string RenderViewDigest(const MetricsSnapshot& snapshot) {
            GaugeCell(snapshot, "rollview_view_staleness_csn", lv).c_str(),
            GaugeCell(snapshot, "rollview_view_target_rows", lv).c_str(),
            GaugeCell(snapshot, "rollview_view_backlog_rows", lv).c_str(),
-           shed == nullptr ? "-" : (shed->gauge != 0 ? "yes" : "no"));
+           SheddingCell(snapshot, view).c_str());
     // Freshness digest, present only when the view exports the pipeline.
     const HistogramSummary* e2e =
         snapshot.Histogram("rollview_freshness_e2e_nanos", lv);
@@ -180,7 +197,6 @@ std::string RenderWatchFrame(const MetricsSnapshot& snapshot, uint64_t frame) {
   }
   for (const std::string& view : views) {
     const Labels lv{{"view", view}};
-    const Sample* shed = snapshot.Find("rollview_view_shedding", lv);
     Append(&out,
            "%-12s hwm=%s mv=%s staleness=%scsn/%sus backlog=%s shedding=%s\n",
            view.c_str(),
@@ -189,7 +205,7 @@ std::string RenderWatchFrame(const MetricsSnapshot& snapshot, uint64_t frame) {
            GaugeCell(snapshot, "rollview_view_staleness_csn", lv).c_str(),
            GaugeCell(snapshot, "rollview_view_staleness_usec", lv).c_str(),
            GaugeCell(snapshot, "rollview_view_backlog_rows", lv).c_str(),
-           shed == nullptr ? "-" : (shed->gauge != 0 ? "YES" : "no"));
+           SheddingCell(snapshot, view).c_str());
     const HistogramSummary* e2e =
         snapshot.Histogram("rollview_freshness_e2e_nanos", lv);
     if (e2e == nullptr) {

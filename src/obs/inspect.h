@@ -27,7 +27,7 @@ namespace obs {
 std::string RenderSnapshot(const MetricsSnapshot& snapshot);
 
 // One line per view found in the snapshot's derived gauges: hwm / mv CSN /
-// staleness / rows-per-query target / backlog / shedding flag, plus a
+// staleness / rows-per-query target / backlog / shedding reason, plus a
 // freshness line (time-domain staleness, e2e percentiles, SLO burn) when
 // the view exports the freshness pipeline. Empty string when the snapshot
 // has no per-view gauges. A metric absent from the snapshot renders as `-`
@@ -36,7 +36,7 @@ std::string RenderViewDigest(const MetricsSnapshot& snapshot);
 
 // One `--watch` dashboard frame: per-view freshness percentiles, stage
 // breakdown (share of end-to-end time per pipeline stage), backlog and
-// shedding/SLO state, plus driver step counters. `frame` is the refresh
+// shedding reason and SLO state, plus driver step counters. `frame` is the refresh
 // counter shown in the header. Metrics a view does not export render as
 // `-`, like the digest.
 std::string RenderWatchFrame(const MetricsSnapshot& snapshot, uint64_t frame);

@@ -1,21 +1,24 @@
 // Overload soak: the full closed loop under sustained antagonist load. An
-// adaptive MaintenanceService (AIMD interval controller + staleness SLO)
+// adaptive MaintenanceService (AIMD interval controller + freshness SLO)
 // runs against paced OLTP updater workers and an armed FaultInjector
 // (injected aborts, lock-busy spikes, capture lag). The shedding wiring is
 // live: entering kShedding pauses retention and backpressures the updater
 // workers; recovery resumes both. Acceptance: after the storm quiesces the
-// MV converges to the full-recompute oracle, no driver ends kFailed, and
-// the controller demonstrably observed the run. Seeded and time-bounded;
-// runs under TSan via the "concurrency" label and under `ctest -L soak`.
+// MV converges to the full-recompute oracle, no driver ends kFailed, the
+// controller demonstrably observed the run, and every shedding episode
+// closed out. Seeded and time-bounded; runs under TSan via the
+// "concurrency" label and under `ctest -L soak`.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "common/fault_injector.h"
 #include "harness/worker.h"
 #include "ivm/maintenance.h"
+#include "obs/freshness.h"
 #include "tests/test_util.h"
 
 namespace rollview {
@@ -33,6 +36,17 @@ TEST(OverloadSoakTest, AdaptiveMaintenanceSurvivesAntagonistLoad) {
   FaultInjector fi(fopts);
   env.db()->SetFaultInjector(&fi);
 
+  // Freshness runs on the steady clock plus a skip the test can add: after
+  // the storm, skipping a whole SLO window ages the storm's breaches out
+  // at once instead of sleeping through the window.
+  std::atomic<uint64_t> skip_nanos{0};
+  obs::FreshnessOptions fresh_opts;
+  fresh_opts.clock = [&skip_nanos] {
+    return obs::SteadyClockNanos() + skip_nanos.load();
+  };
+  obs::FreshnessTracker tracker(fresh_opts);
+  env.db()->SetFreshnessTracker(&tracker);
+
   ASSERT_OK_AND_ASSIGN(TwoTableWorkload workload,
                        TwoTableWorkload::Create(env.db(), 100, 50, 8, 501));
   env.CatchUpCapture();
@@ -48,9 +62,8 @@ TEST(OverloadSoakTest, AdaptiveMaintenanceSurvivesAntagonistLoad) {
   mopts.interval_mode = MaintenanceService::Options::IntervalMode::kAdaptive;
   mopts.controller.initial_target_rows = 64;
   mopts.controller.min_target_rows = 4;
-  mopts.controller.staleness_slo = 25;  // CSN units; tight enough to trip
-  mopts.controller.violations_to_shed = 2;
-  mopts.controller.ok_to_recover = 2;
+  mopts.freshness = &tracker;
+  mopts.freshness_slo.target_staleness_nanos = 2'000'000;  // tight: trips
   mopts.runner.max_retries = 0;  // the supervisor owns all retrying
   mopts.runner.capture_wait_timeout = std::chrono::milliseconds(50);
   mopts.backoff.initial = std::chrono::microseconds(100);
@@ -100,10 +113,12 @@ TEST(OverloadSoakTest, AdaptiveMaintenanceSurvivesAntagonistLoad) {
 
   fi.set_armed(false);
   ASSERT_OK(service.Drain(env.db()->stable_csn()));
-  // If the storm ended mid-shed, trickle a little clean work through: with
-  // the backlog gone every window is under the SLO, so the hysteresis must
-  // close out the episode.
+  // If the storm ended mid-shed, skip the storm out of the SLO window and
+  // trickle a little clean work through: with the backlog gone the fresh
+  // samples are under the target, so the hysteresis must close out the
+  // episode.
   for (int i = 0; i < 20 && service.shedding(); ++i) {
+    skip_nanos.fetch_add(mopts.freshness_slo.window_nanos);
     UpdateStream trickle(env.db(), workload.RStream(3, 700 + i), 700 + i);
     ASSERT_OK(trickle.RunTransaction());
     ASSERT_OK(service.Drain(env.db()->stable_csn()));
@@ -121,7 +136,9 @@ TEST(OverloadSoakTest, AdaptiveMaintenanceSurvivesAntagonistLoad) {
   EXPECT_GE(ctl->target_rows(), mopts.controller.min_target_rows);
   EXPECT_LE(ctl->target_rows(), mopts.controller.max_target_rows);
   // Shedding episodes (if any) always closed out and unwound their actions.
-  EXPECT_EQ(cs.shed_entries, cs.shed_exits);
+  obs::FreshnessSlo::Stats slo = service.freshness_slo()->stats();
+  EXPECT_GT(slo.evals, 0u);
+  EXPECT_EQ(slo.shed_entries, slo.shed_exits);
   EXPECT_FALSE(service.shedding());
   EXPECT_FALSE(retention.paused());
 
@@ -136,6 +153,7 @@ TEST(OverloadSoakTest, AdaptiveMaintenanceSurvivesAntagonistLoad) {
   EXPECT_TRUE(NetEquivalent(oracle, view->mv->AsDeltaRows()))
       << "MV diverges from oracle after overload soak";
   env.db()->SetFaultInjector(nullptr);
+  env.db()->SetFreshnessTracker(nullptr);
 }
 
 }  // namespace

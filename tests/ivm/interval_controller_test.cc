@@ -1,6 +1,6 @@
-// IntervalController: AIMD target adjustment and the staleness-SLO shedding
-// state machine, driven entirely by synthetic ContentionSnapshot sequences.
-// The controller is clock-free, so every test here is deterministic.
+// IntervalController: AIMD target and pause adjustment, driven entirely by
+// synthetic ContentionSnapshot sequences. The controller is clock-free, so
+// every test here is deterministic.
 
 #include "ivm/interval_policy.h"
 
@@ -9,15 +9,10 @@
 namespace rollview {
 namespace {
 
-ContentionSnapshot Calm(Csn staleness = 0) {
-  ContentionSnapshot s;
-  s.steps = 1;
-  s.staleness = staleness;
-  return s;
-}
+ContentionSnapshot Calm() { return ContentionSnapshot{}; }
 
-ContentionSnapshot OltpContended(Csn staleness = 0, uint64_t waits = 2) {
-  ContentionSnapshot s = Calm(staleness);
+ContentionSnapshot OltpContended(uint64_t waits = 2) {
+  ContentionSnapshot s;
   s.oltp_waits = waits;
   return s;
 }
@@ -87,11 +82,10 @@ TEST(IntervalControllerTest, MaintenanceVictimAbortsShrink) {
   s.maintenance_deadlock_victims = 1;
   c.Observe(s);
   EXPECT_EQ(c.target_rows(), 128u);
-  // Maintenance *waits* alone are not contention: waiting is fine, losing
-  // deadlocks is not.
-  ContentionSnapshot w = Calm();
-  w.maintenance_waits = 50;
-  c.Observe(w);
+  // Maintenance *waits* are not contention (waiting is fine, losing
+  // deadlocks is not), so the snapshot does not carry them: a window
+  // without victims is calm.
+  c.Observe(Calm());
   EXPECT_EQ(c.target_rows(), 128u + opts.grow_rows);
 }
 
@@ -101,9 +95,9 @@ TEST(IntervalControllerTest, ThresholdsGateTheSignals) {
   opts.oltp_wait_threshold = 5;
   opts.victim_threshold = 3;
   IntervalController c(opts);
-  c.Observe(OltpContended(0, /*waits=*/4));  // below threshold -> calm
+  c.Observe(OltpContended(/*waits=*/4));  // below threshold -> calm
   EXPECT_EQ(c.target_rows(), 256u + opts.grow_rows);
-  c.Observe(OltpContended(0, /*waits=*/5));  // at threshold -> shrink
+  c.Observe(OltpContended(/*waits=*/5));  // at threshold -> shrink
   EXPECT_EQ(c.target_rows(), (256u + opts.grow_rows) / 2);
 }
 
@@ -173,104 +167,6 @@ TEST(IntervalControllerTest, PacingDisabledWhenInitialIsZero) {
   for (int i = 0; i < 5; ++i) c.Observe(OltpContended());
   EXPECT_EQ(c.recommended_pause().count(), 0);
   EXPECT_EQ(c.GetStats().pace_escalations, 0u);
-}
-
-TEST(IntervalControllerTest, SloDisabledMeansNoSheddingEver) {
-  IntervalController c;  // staleness_slo = 0
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_FALSE(c.Observe(OltpContended(/*staleness=*/1000000)));
-  }
-  EXPECT_FALSE(c.shedding());
-  EXPECT_EQ(c.GetStats().slo_violations, 0u);
-}
-
-TEST(IntervalControllerTest, ShedsAfterConsecutiveContendedViolations) {
-  IntervalController::Options opts;
-  opts.staleness_slo = 100;
-  opts.violations_to_shed = 3;
-  IntervalController c(opts);
-  EXPECT_FALSE(c.Observe(OltpContended(/*staleness=*/200)));
-  EXPECT_FALSE(c.Observe(OltpContended(200)));
-  EXPECT_FALSE(c.shedding());
-  EXPECT_TRUE(c.Observe(OltpContended(200)));  // third strike: state change
-  EXPECT_TRUE(c.shedding());
-  IntervalController::Stats st = c.GetStats();
-  EXPECT_EQ(st.slo_violations, 3u);
-  EXPECT_EQ(st.shed_entries, 1u);
-  EXPECT_EQ(st.shed_exits, 0u);
-}
-
-TEST(IntervalControllerTest, QuietButStaleDoesNotShed) {
-  // Staleness without contention means the intervals are too small, not
-  // that load must be shed; the controller grows instead.
-  IntervalController::Options opts;
-  opts.staleness_slo = 100;
-  opts.violations_to_shed = 1;
-  opts.initial_target_rows = 64;
-  IntervalController c(opts);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(c.Observe(Calm(/*staleness=*/100000)));
-  }
-  EXPECT_FALSE(c.shedding());
-  EXPECT_EQ(c.target_rows(), 64u + 10 * opts.grow_rows);
-}
-
-TEST(IntervalControllerTest, ViolationStreakResetsOnCleanWindow) {
-  IntervalController::Options opts;
-  opts.staleness_slo = 100;
-  opts.violations_to_shed = 3;
-  IntervalController c(opts);
-  c.Observe(OltpContended(200));
-  c.Observe(OltpContended(200));
-  c.Observe(Calm(0));  // streak broken
-  c.Observe(OltpContended(200));
-  c.Observe(OltpContended(200));
-  EXPECT_FALSE(c.shedding());
-  c.Observe(OltpContended(200));
-  EXPECT_TRUE(c.shedding());
-}
-
-TEST(IntervalControllerTest, RecoveryIsHysteretic) {
-  IntervalController::Options opts;
-  opts.staleness_slo = 100;
-  opts.violations_to_shed = 1;
-  opts.ok_to_recover = 3;
-  opts.recover_fraction = 0.5;  // must dip to <= 50 to count
-  IntervalController c(opts);
-  ASSERT_TRUE(c.Observe(OltpContended(200)));
-  ASSERT_TRUE(c.shedding());
-
-  // Back under the SLO but above the recovery band: not good enough.
-  for (int i = 0; i < 10; ++i) EXPECT_FALSE(c.Observe(Calm(80)));
-  EXPECT_TRUE(c.shedding());
-
-  // Two good windows, then a regression: the ok-streak resets.
-  EXPECT_FALSE(c.Observe(Calm(40)));
-  EXPECT_FALSE(c.Observe(Calm(40)));
-  EXPECT_FALSE(c.Observe(Calm(80)));
-  EXPECT_FALSE(c.Observe(Calm(40)));
-  EXPECT_FALSE(c.Observe(Calm(40)));
-  EXPECT_TRUE(c.shedding());
-  EXPECT_TRUE(c.Observe(Calm(40)));  // third consecutive: recovered
-  EXPECT_FALSE(c.shedding());
-  IntervalController::Stats st = c.GetStats();
-  EXPECT_EQ(st.shed_entries, 1u);
-  EXPECT_EQ(st.shed_exits, 1u);
-}
-
-TEST(IntervalControllerTest, ReshedAfterRecoveryWorks) {
-  IntervalController::Options opts;
-  opts.staleness_slo = 10;
-  opts.violations_to_shed = 1;
-  opts.ok_to_recover = 1;
-  opts.recover_fraction = 1.0;
-  IntervalController c(opts);
-  EXPECT_TRUE(c.Observe(OltpContended(20)));
-  EXPECT_TRUE(c.Observe(Calm(5)));
-  EXPECT_FALSE(c.shedding());
-  EXPECT_TRUE(c.Observe(OltpContended(20)));
-  EXPECT_TRUE(c.shedding());
-  EXPECT_EQ(c.GetStats().shed_entries, 2u);
 }
 
 }  // namespace

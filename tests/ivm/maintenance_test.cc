@@ -5,15 +5,74 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "common/fault_injector.h"
+#include "obs/freshness.h"
 #include "obs/registry.h"
+#include "storage/wal_segment.h"
 #include "tests/test_util.h"
 
 namespace rollview {
 namespace {
+
+// A FreshnessTracker on a hand-moved clock, attached to `db` for its own
+// lifetime, so shedding on the freshness SLO is driven without sleeping.
+// The clock starts at 1 s: a zero commit stamp reads as "never stamped".
+class FakeClockFreshness {
+ public:
+  explicit FakeClockFreshness(Db* db) : db_(db), tracker_(ClockOn(&now_)) {
+    db_->SetFreshnessTracker(&tracker_);
+  }
+  ~FakeClockFreshness() { db_->SetFreshnessTracker(nullptr); }
+
+  obs::FreshnessTracker* tracker() { return &tracker_; }
+  void Advance(std::chrono::nanoseconds d) {
+    now_.fetch_add(static_cast<uint64_t>(d.count()));
+  }
+
+ private:
+  static obs::FreshnessOptions ClockOn(std::atomic<uint64_t>* now) {
+    obs::FreshnessOptions opts;
+    opts.clock = [now] { return now->load(); };
+    return opts;
+  }
+
+  Db* db_;
+  std::atomic<uint64_t> now_{1'000'000'000};
+  obs::FreshnessTracker tracker_;
+};
+
+// A 1 ms staleness target that acts on a single sample: one stale
+// observation sheds, and once the clock moves a full window past the
+// breach, one fresh observation recovers.
+obs::FreshnessSloOptions TightSlo() {
+  obs::FreshnessSloOptions slo;
+  slo.target_staleness_nanos = 1'000'000;
+  slo.window_nanos = 1'000'000'000;
+  slo.min_samples = 1;
+  return slo;
+}
+
+// The reason label of the rollview_shedding_reason series that reads 1,
+// or "" unless exactly one does.
+std::string SheddingReasonGauge(const obs::MetricsRegistry& registry) {
+  obs::MetricsSnapshot snap = registry.Snapshot();
+  std::string reason;
+  int ones = 0;
+  for (const char* r : {"none", "wal_full", "staleness"}) {
+    if (snap.GaugeValue("rollview_shedding_reason",
+                        {{"view", "V"}, {"reason", r}}) == 1) {
+      reason = r;
+      ++ones;
+    }
+  }
+  return ones == 1 ? reason : "";
+}
 
 class MaintenanceTest : public ::testing::Test {
  protected:
@@ -385,12 +444,14 @@ TEST_F(MaintenanceTest, RestartAfterFailureResetsControllerState) {
 }
 
 TEST_F(MaintenanceTest, AdaptiveIntervalModeConverges) {
+  obs::MetricsRegistry registry;
   MaintenanceService::Options opts;
   opts.interval_mode = MaintenanceService::Options::IntervalMode::kAdaptive;
   opts.controller.initial_target_rows = 8;
   MaintenanceService service(env_.views(), view_, opts);
+  service.RegisterMetrics(&registry);
   ASSERT_NE(service.interval_controller(), nullptr);
-  EXPECT_FALSE(service.shedding());  // SLO disabled by default
+  EXPECT_FALSE(service.shedding());  // no SLO configured
   service.Start();
   RunUpdates(30, 13);
   ASSERT_OK(service.Drain(env_.db()->stable_csn()));
@@ -400,22 +461,27 @@ TEST_F(MaintenanceTest, AdaptiveIntervalModeConverges) {
   EXPECT_GT(cs.observations, 0u);
   EXPECT_GE(service.interval_controller()->target_rows(),
             opts.controller.min_target_rows);
-  EXPECT_GT(service.target_rows_gauge().value(), 0);
+  EXPECT_GT(registry.Snapshot().GaugeValue("rollview_view_target_rows",
+                                           {{"view", "V"}}),
+            0);
 }
 
 TEST_F(MaintenanceTest, AdaptiveSheddingPausesRetentionAndRecovers) {
-  // Deterministic end-to-end shedding: a manufactured OLTP lock wait plus a
-  // large backlog makes the first observed window a contended SLO
-  // violation (shed); draining the backlog brings staleness back under the
-  // SLO (recover). Synchronous Drain keeps it single-threaded.
+  // Deterministic end-to-end shedding on the freshness SLO: the pending
+  // commits age past the staleness target on a hand-moved clock before a
+  // synchronous Drain propagates them, so every strip observes the breach
+  // (shed); once they are visible, moving the clock a window past the
+  // breach and trickling fresh work through recovers. A manufactured OLTP
+  // lock wait makes the same drain exercise AIMD. Synchronous Drain keeps
+  // it single-threaded.
+  FakeClockFreshness fresh(env_.db());
+  obs::MetricsRegistry registry;
   MaintenanceService::Options opts;
   opts.interval_mode = MaintenanceService::Options::IntervalMode::kAdaptive;
   opts.controller.initial_target_rows = 4;
   opts.controller.min_target_rows = 2;
-  opts.controller.staleness_slo = 8;
-  opts.controller.violations_to_shed = 1;
-  opts.controller.ok_to_recover = 1;
-  opts.controller.recover_fraction = 1.0;  // recover anywhere under the SLO
+  opts.freshness = fresh.tracker();
+  opts.freshness_slo = TightSlo();
   RetentionService retention(env_.views(), RetentionOptions{},
                              std::chrono::milliseconds(100000));
   std::vector<bool> transitions;
@@ -428,9 +494,12 @@ TEST_F(MaintenanceTest, AdaptiveSheddingPausesRetentionAndRecovers) {
     transitions.push_back(on);
   };
   MaintenanceService service(env_.views(), view_, opts);
+  service.RegisterMetrics(&registry);
+  EXPECT_EQ(SheddingReasonGauge(registry), "none");
 
   RunUpdates(30, 11);
   ASSERT_OK(env_.capture()->WaitForCsn(env_.db()->stable_csn()));
+  fresh.Advance(std::chrono::seconds(1));  // every pending commit is 1 s old
 
   // One real OLTP lock wait inside the controller's observation window.
   LockManager* lm = env_.db()->lock_manager();
@@ -445,9 +514,16 @@ TEST_F(MaintenanceTest, AdaptiveSheddingPausesRetentionAndRecovers) {
   waiter.join();
 
   ASSERT_OK(service.Drain(env_.db()->stable_csn()));
-  // If the tail observation was still over the SLO, trickle a little more
-  // work through: with the backlog gone, the next windows must recover.
+  // The strips saw only stale samples: shedding, retention paused.
+  ASSERT_EQ(transitions, std::vector<bool>{true});
+  EXPECT_EQ(service.shedding_reason(), SheddingReason::kStaleness);
+  EXPECT_EQ(SheddingReasonGauge(registry), "staleness");
+  EXPECT_TRUE(retention.paused());
+
+  // The backlog is visible. Move the breach out of the SLO window and
+  // trickle fresh work through: the next samples are fresh and recover.
   for (int i = 0; i < 5 && service.shedding(); ++i) {
+    fresh.Advance(std::chrono::seconds(2));
     RunUpdates(2, 100 + i);
     ASSERT_OK(service.Drain(env_.db()->stable_csn()));
   }
@@ -456,15 +532,19 @@ TEST_F(MaintenanceTest, AdaptiveSheddingPausesRetentionAndRecovers) {
   EXPECT_TRUE(transitions.front());   // entered shedding...
   EXPECT_FALSE(transitions.back());   // ...and recovered
   EXPECT_FALSE(service.shedding());
+  EXPECT_EQ(SheddingReasonGauge(registry), "none");
   EXPECT_FALSE(retention.paused());
+  obs::FreshnessSlo::Stats slo = service.freshness_slo()->stats();
+  EXPECT_GE(slo.violations, 1u);
+  EXPECT_EQ(slo.shed_entries, slo.shed_exits);
   IntervalController::Stats cs = service.interval_controller()->GetStats();
-  EXPECT_GE(cs.slo_violations, 1u);
-  EXPECT_EQ(cs.shed_entries, cs.shed_exits);
   EXPECT_GE(cs.shrinks, 1u);  // the contended window also shrank the target
   // The gauges tracked the observations (values are workload-dependent).
-  EXPECT_GE(service.target_rows_gauge().value(),
+  obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_GE(snap.GaugeValue("rollview_view_target_rows", {{"view", "V"}}),
             static_cast<int64_t>(opts.controller.min_target_rows));
-  EXPECT_GE(service.staleness_gauge().value(), 0);
+  EXPECT_GE(snap.GaugeValue("rollview_view_staleness_csn", {{"view", "V"}}),
+            0);
   EXPECT_TRUE(MvMatchesOracle());
 }
 
@@ -472,50 +552,163 @@ TEST_F(MaintenanceTest, DrainCompletesWhileShedding) {
   // Regression: shedding turns off non-critical work (retention, stretched
   // checkpoints) but must never gate Drain -- CheckDrainProgress only fails
   // on kFailed or paused propagation, and a shedding service keeps rolling
-  // strips. Configure the SLO machine so the very first observed window
-  // violates and recovery is unreachable within the test (ok_to_recover
-  // huge), then drain the whole backlog while the posture stays "shedding".
+  // strips. The pending commits are stale before the drain starts and the
+  // clock never moves again, so the very first strip sheds and recovery is
+  // unreachable; the whole backlog drains while the posture stays
+  // "shedding".
+  FakeClockFreshness fresh(env_.db());
   MaintenanceService::Options opts;
   opts.interval_mode = MaintenanceService::Options::IntervalMode::kAdaptive;
+  // Two-row strips: the drain takes many steps at the stretched cadence.
   opts.controller.initial_target_rows = 2;
   opts.controller.min_target_rows = 2;
-  opts.controller.staleness_slo = 4;
-  opts.controller.violations_to_shed = 1;
-  opts.controller.ok_to_recover = 1000;  // stays shedding for the whole drain
+  opts.controller.max_target_rows = 2;
+  opts.freshness = fresh.tracker();
+  opts.freshness_slo = TightSlo();
   opts.checkpoint_every_steps = 2;
-  opts.shedding_checkpoint_stretch = 8;  // stretched cadence, still progresses
   std::vector<bool> transitions;
   opts.on_shedding = [&](bool on) { transitions.push_back(on); };
   MaintenanceService service(env_.views(), view_, opts);
 
   RunUpdates(30, 17);
   ASSERT_OK(env_.capture()->WaitForCsn(env_.db()->stable_csn()));
-
-  // Shedding engages only for contention-driven staleness: manufacture one
-  // real OLTP lock wait inside the controller's first observation window.
-  LockManager* lm = env_.db()->lock_manager();
-  ResourceId contended = ResourceId::Named(778);
-  ASSERT_OK(lm->Acquire(990011, contended, LockMode::kX));
-  std::thread waiter([&] {
-    EXPECT_TRUE(lm->Acquire(990012, contended, LockMode::kX).ok());
-    lm->ReleaseAll(990012);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  lm->ReleaseAll(990011);
-  waiter.join();
+  fresh.Advance(std::chrono::seconds(1));
 
   Csn target = env_.db()->stable_csn();
   ASSERT_OK(service.Drain(target));  // must complete despite shedding
 
   EXPECT_GE(view_->high_water_mark(), target);
   EXPECT_GE(view_->mv->csn(), target);
-  ASSERT_FALSE(transitions.empty());
-  EXPECT_TRUE(transitions.front());
+  EXPECT_EQ(transitions, std::vector<bool>{true});
   EXPECT_TRUE(service.shedding());  // never recovered -- and never needed to
-  IntervalController::Stats cs = service.interval_controller()->GetStats();
-  EXPECT_GE(cs.shed_entries, 1u);
-  EXPECT_EQ(cs.shed_exits, 0u);
+  EXPECT_EQ(service.shedding_reason(), SheddingReason::kStaleness);
+  // Stretched checkpoint cadence, still progressing: at most one
+  // checkpoint per stretched period (plus the one the first, unshed step
+  // may have counted toward), at least one in all.
+  const uint64_t stretched = opts.checkpoint_every_steps *
+                             MaintenanceService::kSheddingCheckpointStretch;
+  EXPECT_EQ(service.checkpointer()->every_steps(), stretched);
+  const uint64_t written = service.checkpointer()->checkpoints_written();
+  EXPECT_GE(written, 1u);
+  EXPECT_LE(written, service.propagate_driver_stats().steps / stretched + 1);
+  obs::FreshnessSlo::Stats slo = service.freshness_slo()->stats();
+  EXPECT_GE(slo.shed_entries, 1u);
+  EXPECT_EQ(slo.shed_exits, 0u);
   EXPECT_TRUE(MvMatchesOracle());
+}
+
+// Regression: shedding is one state over two inputs, and on_shedding fires
+// on its transitions only. WAL-full (an ENOSPC storm on a durable WAL)
+// overlaps a freshness-SLO breach; clearing them one at a time must
+// deliver exactly [true, false], while the reason gauge steps wal_full ->
+// staleness -> none (WAL-full wins while both hold).
+TEST(MaintenanceSheddingTest, OverlappingInputsFireOneTransitionEachWay) {
+  const std::string dir = ::testing::TempDir() + "maintenance_shed_overlap";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  Db db;
+  DurableWalOptions wopts;
+  wopts.dir = dir;
+  wopts.segment_bytes = 8192;
+  wopts.enospc_retry = std::chrono::milliseconds(1);
+  ASSERT_OK(db.wal()->OpenDurable(wopts, 1, true));
+  WalSegmentStore* store = db.wal()->store();
+  store->Start();
+  CaptureOptions copts;
+  copts.truncate_wal = false;
+  LogCapture capture(&db, copts);
+  ViewManager views(&db, &capture);
+  FakeClockFreshness fresh(&db);
+  ASSERT_OK_AND_ASSIGN(TwoTableWorkload workload,
+                       TwoTableWorkload::Create(&db, 40, 30, 8, 0x5eed));
+  capture.CatchUp();
+  ASSERT_OK_AND_ASSIGN(View* view, views.CreateView("V", workload.ViewDef()));
+  ASSERT_OK(views.Materialize(view));
+  capture.Start();
+
+  auto wait_for = [](const std::function<bool()>& pred) {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!pred() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return pred();
+  };
+
+  obs::MetricsRegistry registry;
+  MaintenanceService::Options mopts;
+  mopts.freshness = fresh.tracker();
+  mopts.freshness_slo = TightSlo();
+  std::vector<bool> transitions;  // written by the propagate driver only
+  std::atomic<size_t> transition_count{0};
+  mopts.on_shedding = [&](bool on) {
+    transitions.push_back(on);
+    transition_count.fetch_add(1);
+  };
+  MaintenanceService service(&views, view, mopts);
+  service.RegisterMetrics(&registry);
+  // Apply stays paused until the end, so nothing becomes visible and the
+  // staleness input holds once it trips.
+  service.PauseApply();
+
+  UpdateStream updates(&db, workload.RStream(1, 0x61), 0x61);
+  ASSERT_OK(updates.RunTransactions(4));
+
+  // Fill the device. A committer caught mid-sync parks until space
+  // returns, so that one runs on its own thread; the guard disarms the
+  // injector before joining, so a failed assertion cannot deadlock.
+  FaultInjector::Options fopts;
+  fopts.seed = 0x5703;
+  fopts.storage_enospc_probability = 1.0;
+  fopts.scoped_only = false;  // the flusher thread never enters a Scope
+  FaultInjector fi(fopts);
+  store->SetFaultInjector(&fi);
+  std::thread parked([&] {
+    UpdateStream one(&db, workload.RStream(2, 0x62), 0x62);
+    Status s = one.RunTransaction(/*max_retries=*/0);
+    EXPECT_TRUE(s.ok() || s.IsTransient()) << s.ToString();
+  });
+  struct Guard {
+    FaultInjector& fi;
+    std::thread& t;
+    ~Guard() {
+      fi.set_armed(false);
+      if (t.joinable()) t.join();
+    }
+  } guard{fi, parked};
+  ASSERT_TRUE(wait_for([&] { return store->out_of_space(); }));
+
+  // Input 1, pressure: the first strip bounces off the full device.
+  service.Start();
+  ASSERT_TRUE(wait_for([&] { return service.shedding(); }));
+  EXPECT_EQ(service.shedding_reason(), SheddingReason::kWalFull);
+  EXPECT_EQ(SheddingReasonGauge(registry), "wal_full");
+
+  // Input 2, staleness: the pending commits age past the target. The SLO
+  // latches, but WAL-full keeps precedence and the hook stays quiet.
+  fresh.Advance(std::chrono::seconds(10));
+  ASSERT_TRUE(wait_for([&] { return service.freshness_slo()->shedding(); }));
+  EXPECT_EQ(service.shedding_reason(), SheddingReason::kWalFull);
+  EXPECT_EQ(SheddingReasonGauge(registry), "wal_full");
+
+  // Space returns: the pressure input clears, staleness still holds.
+  fi.set_armed(false);
+  ASSERT_TRUE(wait_for([&] { return !store->out_of_space(); }));
+  parked.join();
+  ASSERT_TRUE(wait_for(
+      [&] { return service.shedding_reason() == SheddingReason::kStaleness; }));
+  EXPECT_EQ(SheddingReasonGauge(registry), "staleness");
+  EXPECT_EQ(transition_count.load(), 1u);
+
+  // The view catches up and the breach leaves the SLO window: recovered.
+  service.ResumeApply();
+  ASSERT_OK(service.Drain(db.stable_csn()));
+  fresh.Advance(std::chrono::seconds(10));
+  ASSERT_TRUE(wait_for([&] { return !service.shedding(); }));
+  EXPECT_EQ(SheddingReasonGauge(registry), "none");
+  ASSERT_OK(service.Stop());
+  capture.Stop();
+  store->SetFaultInjector(nullptr);
+  EXPECT_EQ(transitions, (std::vector<bool>{true, false}));
 }
 
 // Standalone (short lock-wait timeout needs its own Db): a propagation step
@@ -597,6 +790,22 @@ TEST_F(MaintenanceTest, RetentionServicePrunesInBackground) {
                 CsnRange{0, view_->mv->csn()}),
             0u);
   EXPECT_GT(retention.passes(), 0u);
+}
+
+TEST_F(MaintenanceTest, RetentionServiceStopWakesTheWaitingThread) {
+  // The periodic thread sleeps on a condition variable until its next pass
+  // is due, so Stop() returns at once instead of waiting out the period.
+  RetentionService retention(env_.views(), RetentionOptions{},
+                             std::chrono::seconds(10));
+  retention.Start();
+  while (retention.passes() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  retention.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+  EXPECT_EQ(retention.passes(), 1u);
 }
 
 }  // namespace

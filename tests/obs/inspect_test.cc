@@ -30,6 +30,16 @@ class InspectTest : public ::testing::Test {
     registry_.RegisterCounterFn(name, {{"view", "V"}},
                                 [value] { return value; }, this);
   }
+  // The shedding state set: one rollview_shedding_reason series per
+  // reason, `active` reading 1.
+  void AddSheddingReason(const std::string& active) {
+    for (const char* reason : {"none", "wal_full", "staleness"}) {
+      const int64_t value = reason == active ? 1 : 0;
+      registry_.RegisterGaugeFn("rollview_shedding_reason",
+                                {{"view", "V"}, {"reason", reason}},
+                                [value] { return value; }, this);
+    }
+  }
 
   obs::MetricsRegistry registry_;
 };
@@ -54,14 +64,28 @@ TEST_F(InspectTest, PresentZeroVersusAbsentAreDistinguishable) {
   AddGauge("rollview_view_hwm_csn", 5);
   AddGauge("rollview_view_staleness_csn", 0);
   AddGauge("rollview_view_backlog_rows", 0);
-  AddGauge("rollview_view_shedding", 0);
+  AddSheddingReason("none");
   std::string digest = obs::RenderViewDigest(registry_.Snapshot());
 
   EXPECT_NE(digest.find("staleness=0"), std::string::npos) << digest;
   EXPECT_NE(digest.find("backlog=0"), std::string::npos) << digest;
-  EXPECT_NE(digest.find("shedding=no"), std::string::npos) << digest;
+  EXPECT_NE(digest.find("shedding=none"), std::string::npos) << digest;
   // target_rows stays absent -> dash.
   EXPECT_NE(digest.find("target_rows=-"), std::string::npos) << digest;
+}
+
+TEST_F(InspectTest, DigestRendersTheActiveSheddingReason) {
+  AddGauge("rollview_view_hwm_csn", 5);
+  AddSheddingReason("staleness");
+  std::string digest = obs::RenderViewDigest(registry_.Snapshot());
+  EXPECT_NE(digest.find("shedding=staleness"), std::string::npos) << digest;
+}
+
+TEST_F(InspectTest, WatchFrameRendersTheActiveSheddingReason) {
+  AddGauge("rollview_view_hwm_csn", 5);
+  AddSheddingReason("wal_full");
+  std::string frame = obs::RenderWatchFrame(registry_.Snapshot(), 2);
+  EXPECT_NE(frame.find("shedding=wal_full"), std::string::npos) << frame;
 }
 
 TEST_F(InspectTest, DigestEmptyWithoutViews) {
