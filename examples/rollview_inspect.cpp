@@ -141,9 +141,6 @@ int main(int argc, char** argv) {
   service.RegisterMetrics(&registry);
   db.lock_manager()->RegisterMetrics(&registry, &registry);
   db.wal()->RegisterMetrics(&registry, &registry);
-  if (db.build_cache() != nullptr) {
-    db.build_cache()->RegisterMetrics(&registry, &registry);
-  }
   // Durable backend: let the group-commit flusher emit kWalFlush root
   // traces into the service's journal -- the cross-thread causality link
   // from an fsynced batch's CSN range to the propagation steps that later

@@ -3,11 +3,14 @@
 # build. Run from anywhere; outputs land at the repo root, next to this
 # script's parent directory.
 #
-#   scripts/regen_benches.sh [build_dir]
+#   scripts/regen_benches.sh [build_dir [bench ...]]
+#
+# With bench names (e.g. bench_executor bench_multiview) only those
+# baselines are regenerated; without, all of them.
 #
 # The perf-smoke ctest label (bench_executor_smoke) compares deterministic
-# counters against the committed BENCH_executor.json and enforces wide
-# wall-clock floors on the cache-on and compiled-program speedups, so rerun
+# counters against the committed BENCH_executor.json and enforces a wide
+# wall-clock floor on the median compiled-vs-interpreted speedup, so rerun
 # this script -- on a quiet machine -- whenever an intentional change
 # shifts those counters, then commit the refreshed JSON together with the
 # change. The full (non-smoke) bench_executor additionally asserts the
@@ -18,21 +21,22 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
 mkdir -p "${build_dir}"
 build_dir="$(cd "${build_dir}" && pwd)"  # absolute: we cd away below
+shift $(( $# > 0 ? 1 : 0 ))
+benches=("$@")
+if (( ${#benches[@]} == 0 )); then
+  benches=(bench_executor bench_fault_recovery bench_recovery
+           bench_contention bench_multiview bench_scrub bench_freshness)
+fi
 
 cmake -B "${build_dir}" -S "${repo_root}" >/dev/null
-cmake --build "${build_dir}" -j "$(nproc)" \
-  --target bench_executor bench_fault_recovery bench_recovery \
-           bench_contention bench_multiview bench_scrub \
-           bench_freshness >/dev/null
+cmake --build "${build_dir}" -j "$(nproc)" --target "${benches[@]}" >/dev/null
 
 # Each bench writes BENCH_<experiment>.json into its working directory.
 workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
 cd "${workdir}"
 
-for bench in bench_executor bench_fault_recovery bench_recovery \
-             bench_contention bench_multiview bench_scrub \
-             bench_freshness; do
+for bench in "${benches[@]}"; do
   echo "== ${bench}"
   "${build_dir}/bench/${bench}"
 done

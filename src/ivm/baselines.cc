@@ -120,9 +120,6 @@ Result<Csn> SyncRefresher::RefreshEq1() {
   uint64_t queries = 0;
   for (uint32_t mask = 1; mask < (1u << n); ++mask) {
     JoinQuery q = SkeletonFor(rv);
-    // Every base table is frozen by its S lock and this transaction does
-    // not write them, so current state == the snapshot at t_b.
-    q.current_snapshot_hint = t_b;
     int popcount = 0;
     for (size_t j = 0; j < n; ++j) {
       if (mask & (1u << j)) {
@@ -175,7 +172,6 @@ Result<Csn> SyncRefresher::RefreshFull() {
   Csn t_b = drained.value();
 
   JoinQuery q = SkeletonFor(rv);
-  q.current_snapshot_hint = t_b;  // base tables frozen by their S locks
   for (size_t i = 0; i < rv.num_terms(); ++i) {
     q.terms.push_back(TermSource::BaseCurrent(rv.table(i)));
   }

@@ -380,21 +380,6 @@ void MaintenanceService::UpdateShedding() {
 }
 
 void MaintenanceService::ApplyShedding(bool on) {
-  // Build-cache admission off while shedding (its memory and build CPU go
-  // back to foreground work); restore the *configured* value on recovery.
-  // In parallel mode the strips are quiescent here (shedding transitions
-  // fire on the thread driving PropagateStep, between rounds), so
-  // flipping each strip's runner is race-free.
-  const bool use_cache = on ? false : options_.runner.use_build_cache;
-  if (parallel_ != nullptr) {
-    for (uint32_t p = 0; p < parallel_->partitions(); ++p) {
-      parallel_->strip(p)->runner()->set_use_build_cache(use_cache);
-    }
-  } else {
-    QueryRunner* runner =
-        rolling_ != nullptr ? rolling_->runner() : plain_->runner();
-    runner->set_use_build_cache(use_cache);
-  }
   if (checkpointer_ != nullptr) {
     checkpointer_->set_every_steps(
         on ? options_.checkpoint_every_steps * kSheddingCheckpointStretch
@@ -492,7 +477,6 @@ void MaintenanceService::InterruptibleSleep(std::chrono::nanoseconds d) {
 }
 
 void MaintenanceService::DriverLoop(Driver* driver,
-                                    std::atomic<bool>* paused,
                                     const std::function<Status(bool*)>& step,
                                     uint64_t salt, CsnFrontier* upstream) {
   Rng jitter_rng(options_.backoff_seed ^ salt);
@@ -506,13 +490,17 @@ void MaintenanceService::DriverLoop(Driver* driver,
   auto stopped = [this] { return !running_.load(std::memory_order_relaxed); };
 
   while (running_.load(std::memory_order_relaxed)) {
-    if (paused->load(std::memory_order_relaxed)) {
+    {
+      // Check the pause flag and claim the step under one lock: a Pause()
+      // either finds this step in flight and waits for it, or keeps it
+      // from starting.
       std::unique_lock<std::mutex> lk(wake_mu_);
       wake_cv_.wait(lk, [&] {
         return !running_.load(std::memory_order_relaxed) ||
-               !paused->load(std::memory_order_relaxed);
+               !driver->paused.load(std::memory_order_relaxed);
       });
-      continue;
+      if (!running_.load(std::memory_order_relaxed)) break;
+      driver->stepping = true;
     }
 
     // Read before stepping: an upstream advance that lands while the step
@@ -520,6 +508,13 @@ void MaintenanceService::DriverLoop(Driver* driver,
     const Csn seen = upstream->value();
     bool advanced = false;
     Status s = step(&advanced);
+    bool pausing;
+    {
+      std::lock_guard<std::mutex> lk(wake_mu_);
+      driver->stepping = false;
+      pausing = driver->paused.load(std::memory_order_relaxed);
+    }
+    if (pausing) wake_cv_.notify_all();
 
     if (s.ok()) {
       {
@@ -629,7 +624,7 @@ void MaintenanceService::Start() {
   propagate_driver_.health.store(SteadyHealth(&propagate_driver_),
                                  std::memory_order_release);
   propagate_thread_ = std::thread([this] {
-    DriverLoop(&propagate_driver_, &propagate_paused_,
+    DriverLoop(&propagate_driver_,
                [this](bool* advanced) { return PropagateStep(advanced); },
                /*salt=*/0x70726f70ULL,  // "prop"
                views_->DeltaReadyFrontier());
@@ -638,7 +633,7 @@ void MaintenanceService::Start() {
     apply_driver_.health.store(DriverHealth::kRunning,
                                std::memory_order_release);
     apply_thread_ = std::thread([this] {
-      DriverLoop(&apply_driver_, &apply_paused_,
+      DriverLoop(&apply_driver_,
                  [this](bool* advanced) { return ApplyStep(advanced); },
                  /*salt=*/0x6170706cULL,  // "appl"
                  &view_->delta_hwm);
@@ -663,18 +658,16 @@ Status MaintenanceService::Stop() {
   return error_;
 }
 
-void MaintenanceService::ResumePropagation() {
-  propagate_paused_.store(false);
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-  }
-  wake_cv_.notify_all();
+void MaintenanceService::Pause(Driver* driver) {
+  std::unique_lock<std::mutex> lk(wake_mu_);
+  driver->paused.store(true);
+  wake_cv_.wait(lk, [driver] { return !driver->stepping; });
 }
 
-void MaintenanceService::ResumeApply() {
-  apply_paused_.store(false);
+void MaintenanceService::Resume(Driver* driver) {
   {
     std::lock_guard<std::mutex> lk(wake_mu_);
+    driver->paused.store(false);
   }
   wake_cv_.notify_all();
 }
@@ -855,15 +848,6 @@ void MaintenanceService::RegisterMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterCounterFn(
       "rollview_exec_nanos_total", lv,
       [runner] { return runner().exec.exec_nanos; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_build_cache_queries_total", {{"view", v}, {"outcome", "hit"}},
-      [runner] { return runner().exec.build_cache_hits; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_build_cache_queries_total", {{"view", v}, {"outcome", "miss"}},
-      [runner] { return runner().exec.build_cache_misses; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_build_nanos_total", lv,
-      [runner] { return runner().exec.build_nanos; }, owner);
   registry->RegisterCounterFn(
       "rollview_compiled_queries_total", lv,
       [runner] { return runner().exec.compiled_queries; }, owner);
@@ -1109,8 +1093,7 @@ void MaintenanceService::RegisterMetrics(obs::MetricsRegistry* registry) {
   }
 }
 
-Status MaintenanceService::CheckDrainProgress(
-    const Driver& driver, const std::atomic<bool>& paused) {
+Status MaintenanceService::CheckDrainProgress(const Driver& driver) {
   {
     std::lock_guard<std::mutex> lk(error_mu_);
     ROLLVIEW_RETURN_NOT_OK(error_);
@@ -1122,7 +1105,7 @@ Status MaintenanceService::CheckDrainProgress(
     if (!last_error_.ok()) return last_error_;
     return Status::Internal(std::string(driver.name) + " driver failed");
   }
-  if (paused.load(std::memory_order_relaxed)) {
+  if (driver.paused.load(std::memory_order_relaxed)) {
     return Status::Busy(std::string("drain cannot make progress: ") +
                         driver.name + " driver is paused");
   }
@@ -1131,13 +1114,12 @@ Status MaintenanceService::CheckDrainProgress(
 
 template <typename CurrentFn>
 Status MaintenanceService::AwaitDriver(const Driver& driver,
-                                       const std::atomic<bool>& paused,
                                        CsnFrontier* wake, Csn target,
                                        CurrentFn current) {
   for (;;) {
     const Csn seen = wake->value();
     if (current() >= target) return Status::OK();
-    ROLLVIEW_RETURN_NOT_OK(CheckDrainProgress(driver, paused));
+    ROLLVIEW_RETURN_NOT_OK(CheckDrainProgress(driver));
     wake->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
   }
 }
@@ -1149,7 +1131,7 @@ Status MaintenanceService::Drain(Csn target) {
     // Busy instead of livelocking if the driver is paused, and with the
     // driver's error if it died.
     ROLLVIEW_RETURN_NOT_OK(AwaitDriver(
-        propagate_driver_, propagate_paused_, &view_->delta_hwm, target,
+        propagate_driver_, &view_->delta_hwm, target,
         [this] { return view_->high_water_mark(); }));
   } else {
     // Synchronous drain: drive the same PropagateStep the background driver
@@ -1175,7 +1157,7 @@ Status MaintenanceService::Drain(Csn target) {
   }
   if (!options_.apply_continuously) return Status::OK();
   if (was_running) {
-    return AwaitDriver(apply_driver_, apply_paused_, &applied_, target,
+    return AwaitDriver(apply_driver_, &applied_, target,
                        [this] { return view_->mv->csn(); });
   }
   Status s = applier_->RollTo(view_->high_water_mark());

@@ -160,12 +160,11 @@ class MaintenanceService {
     // --- Shedding actions ---
     // While shedding (for any SheddingReason), checkpoint cadence is
     // multiplied by kSheddingCheckpointStretch (checkpoints are a safety
-    // net, not progress) and build-cache admission is turned off
-    // (memory/CPU for foreground work). on_shedding is invoked when the
-    // combined shedding state changes (true = entered, false = recovered)
-    // -- never on an input flip that leaves it unchanged -- from the
-    // thread driving propagation, outside internal locks. Harness wiring
-    // point for retention pause and UpdateStream worker backpressure.
+    // net, not progress). on_shedding is invoked when the combined shedding
+    // state changes (true = entered, false = recovered) -- never on an input
+    // flip that leaves it unchanged -- from the thread driving propagation,
+    // outside internal locks. Harness wiring point for retention pause and
+    // UpdateStream worker backpressure.
     std::function<void(bool)> on_shedding;
 
     // --- Telemetry ---
@@ -211,11 +210,14 @@ class MaintenanceService {
   Status Stop();
 
   // Suspend/resume individual drivers ("either process, or both, can be
-  // suspended during periods of high system load", Sec. 1).
-  void PausePropagation() { propagate_paused_.store(true); }
-  void ResumePropagation();
-  void PauseApply() { apply_paused_.store(true); }
-  void ResumeApply();
+  // suspended during periods of high system load", Sec. 1). A pause returns
+  // only once the driver is between steps: a step already in flight
+  // finishes first, and no step starts until the matching resume. Must not
+  // be called from a driver thread (e.g. an on_shedding hook).
+  void PausePropagation() { Pause(&propagate_driver_); }
+  void ResumePropagation() { Resume(&propagate_driver_); }
+  void PauseApply() { Pause(&apply_driver_); }
+  void ResumeApply() { Resume(&apply_driver_); }
 
   // Blocks until the view delta covers `target` and (if apply is enabled)
   // the MV has been rolled there. Works whether or not Start() was called.
@@ -303,7 +305,12 @@ class MaintenanceService {
     // Current consecutive transient-failure streak, mirrored out of the
     // driver loop so step traces can carry the retry count.
     std::atomic<int> consecutive{0};
+    std::atomic<bool> paused{false};
+    bool stepping = false;  // a step is in flight; guarded by wake_mu_
   };
+
+  void Pause(Driver* driver);
+  void Resume(Driver* driver);
 
   Status PropagateStep(bool* advanced);
   Status ApplyStep(bool* advanced);
@@ -324,9 +331,8 @@ class MaintenanceService {
   // transient errors per the backoff policy and health state machine. A
   // step that finds nothing to do sleeps until `upstream` advances past
   // the value it had before the step (or the heartbeat expires).
-  void DriverLoop(Driver* driver, std::atomic<bool>* paused,
-                  const std::function<Status(bool*)>& step, uint64_t salt,
-                  CsnFrontier* upstream);
+  void DriverLoop(Driver* driver, const std::function<Status(bool*)>& step,
+                  uint64_t salt, CsnFrontier* upstream);
   // Propagator hwm hook (installed when freshness is tracked): stamps the
   // strip's pickup and t_comp boundaries, then advances the view hwm. The
   // advance wakes the apply driver at once, so the stamps must come first
@@ -340,14 +346,13 @@ class MaintenanceService {
   void RecordError(const Status& s, bool terminal);
   // Non-OK when a drain waiting on `driver` cannot make progress: the
   // driver failed (its error) or is paused (Busy).
-  Status CheckDrainProgress(const Driver& driver,
-                            const std::atomic<bool>& paused);
+  Status CheckDrainProgress(const Driver& driver);
   // Blocks until current() >= target, sleeping on `wake` (which advances
   // whenever current() may have moved) and re-checking the driver's
   // progress at least once per heartbeat.
   template <typename CurrentFn>
-  Status AwaitDriver(const Driver& driver, const std::atomic<bool>& paused,
-                     CsnFrontier* wake, Csn target, CurrentFn current);
+  Status AwaitDriver(const Driver& driver, CsnFrontier* wake, Csn target,
+                     CurrentFn current);
 
   ViewManager* views_;
   View* view_;
@@ -406,10 +411,9 @@ class MaintenanceService {
   std::thread propagate_thread_;
   std::thread apply_thread_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> propagate_paused_{false};
-  std::atomic<bool> apply_paused_{false};
 
-  // Wakes drivers sleeping on backoff/pause.
+  // Wakes drivers sleeping on backoff/pause, and Pause() callers waiting
+  // for the step in flight (Driver::stepping).
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   // The MV CSN the apply driver last rolled to; a background Drain sleeps

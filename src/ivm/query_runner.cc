@@ -60,14 +60,6 @@ void QueryRunner::RegisterMetrics(obs::MetricsRegistry* registry,
       [s] { return s->exec.bytes_borrowed; }, owner);
   registry->RegisterCounterFn("rollview_exec_nanos_total", {{"view", v}},
                               [s] { return s->exec.exec_nanos; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_build_cache_queries_total", {{"view", v}, {"outcome", "hit"}},
-      [s] { return s->exec.build_cache_hits; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_build_cache_queries_total", {{"view", v}, {"outcome", "miss"}},
-      [s] { return s->exec.build_cache_misses; }, owner);
-  registry->RegisterCounterFn("rollview_build_nanos_total", {{"view", v}},
-                              [s] { return s->exec.build_nanos; }, owner);
   registry->RegisterCounterFn("rollview_compiled_queries_total", {{"view", v}},
                               [s] { return s->exec.compiled_queries; }, owner);
   registry->RegisterCounterFn(
@@ -203,16 +195,18 @@ Result<Csn> QueryRunner::ExecuteOnce(const PropQuery& q) {
   // measures).
   // Compiled dispatch: forward queries (exactly one delta term) whose term
   // has a compiled delta program probe materialized half-join views instead
-  // of re-joining the base terms (ra/delta_program.h).
+  // of re-joining the base terms (ra/delta_program.h). A view has programs
+  // unless DbOptions::compile_delta_programs is off; any compiled-path
+  // failure falls back to the interpreted executor in the same transaction.
   size_t delta_term = q.num_terms();
   if (q.NumDeltaTerms() == 1) {
     for (size_t i = 0; i < q.num_terms(); ++i) {
       if (q.terms[i].is_delta) delta_term = i;
     }
   }
-  const bool compiled_eligible =
-      options_.use_compiled_programs && view_->programs != nullptr &&
-      delta_term < q.num_terms() && view_->programs->compiled(delta_term);
+  const bool compiled_eligible = view_->programs != nullptr &&
+                                 delta_term < q.num_terms() &&
+                                 view_->programs->compiled(delta_term);
 
   // Compiled compensation (two-term views): drive the smaller delta side
   // and probe the other term's advancing window index instead of re-joining
@@ -223,9 +217,8 @@ Result<Csn> QueryRunner::ExecuteOnce(const PropQuery& q) {
   // if the compiled attempt falls back. Partitioned strips stay
   // interpreted: the shared window is not partition-filtered.
   size_t window_term = q.num_terms();
-  if (options_.use_compiled_programs && view_->programs != nullptr &&
-      q.num_terms() == 2 && q.NumDeltaTerms() == 2 &&
-      (partition_ == nullptr || !partition_->enabled()) &&
+  if (view_->programs != nullptr && q.num_terms() == 2 &&
+      q.NumDeltaTerms() == 2 && (partition_ == nullptr || !partition_->enabled()) &&
       db->delta(rv.table(0)) != nullptr && db->delta(rv.table(1)) != nullptr) {
     const size_t c0 = db->delta(rv.table(0))->CountInRange(q.terms[0].range);
     const size_t c1 = db->delta(rv.table(1))->CountInRange(q.terms[1].range);
@@ -272,11 +265,6 @@ Result<Csn> QueryRunner::ExecuteOnce(const PropQuery& q) {
   jq.residual = rv.def().selection;
   jq.projection = rv.def().projection;
   jq.sign = q.sign;
-  // Every base table is S-locked above and this transaction writes only the
-  // view delta, so the current-visible state of each base term equals the
-  // snapshot at the stable CSN observed after lock acquisition -- which
-  // makes the terms servable from the snapshot-keyed BuildCache.
-  jq.current_snapshot_hint = db->stable_csn();
 
   DeltaRows out_rows;
   bool have_rows = false;
@@ -314,8 +302,7 @@ Result<Csn> QueryRunner::ExecuteOnce(const PropQuery& q) {
     }
   }
   if (!have_rows) {
-    JoinExecutor exec(db,
-                      options_.use_build_cache ? db->build_cache() : nullptr);
+    JoinExecutor exec(db);
     Result<DeltaRows> rows = exec.Execute(jq, txn.get(), &stats_.exec);
     if (!rows.ok()) return fail(rows.status());
     out_rows = std::move(rows).value();

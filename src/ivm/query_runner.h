@@ -44,19 +44,6 @@ struct RunnerOptions {
   // Reproduce the prototype's CSN discovery: write a marker row into a
   // special captured table and resolve the CSN through the UOW table.
   bool use_special_table_csn_resolution = false;
-  // Serve base-table builds from the engine's snapshot-keyed BuildCache
-  // (no-op when the engine was created with build_cache_bytes == 0). All
-  // queries of a propagation step -- and, while the base tables are quiet,
-  // of successive steps -- share one build per table. Off forces the
-  // uncached scan/probe paths (the cache-off arm of bench_executor).
-  bool use_build_cache = true;
-  // Dispatch single-delta-term forward queries through the view's compiled
-  // delta programs (ra/delta_program.h) when the view has them
-  // (DbOptions::compile_delta_programs). Compensation queries and
-  // uncompiled terms always run interpreted; any compiled-path failure
-  // falls back to the interpreted executor within the same transaction.
-  // Off forces the interpreted path (the interpreted arm of bench_executor).
-  bool use_compiled_programs = true;
 };
 
 struct RunnerStats {
@@ -124,12 +111,6 @@ class QueryRunner {
   // around the view-delta append + commit, and records undo-log
   // cancellation spans. Same single-thread contract as the other setters.
   void set_tracer(obs::StepTracer* tracer) { tracer_ = tracer; }
-
-  // Shedding control: toggles build-cache admission for subsequent queries.
-  // Must be called from the thread that calls Execute (the propagate
-  // driver), like the other setters here.
-  void set_use_build_cache(bool on) { options_.use_build_cache = on; }
-  bool use_build_cache() const { return options_.use_build_cache; }
 
   // Partitioned propagation: while set (and enabled), every delta term of
   // every query is filtered to the slice's partition, and committed

@@ -255,7 +255,7 @@ Status HalfJoinView::AdvanceLocked(Db* db, Csn delta_ready,
                              ->Scan(CsnRange{as_of, target});
           if (dk.empty()) continue;
           JoinQuery q = StageQuery(k, as_of, target, &dk);
-          JoinExecutor exec(db, /*cache=*/nullptr);  // BuildCache bypass
+          JoinExecutor exec(db);
           Result<DeltaRows> r = exec.Execute(q, /*txn=*/nullptr, stats);
           if (!r.ok()) return r.status();
           DeltaRows out = std::move(r).value();
@@ -318,7 +318,7 @@ Status HalfJoinView::RebuildLocked(Db* db, Csn target, ExecStats* stats) {
   q.residual = spec_.residual;
   q.sign = +1;
 
-  JoinExecutor exec(db, /*cache=*/nullptr);  // BuildCache bypass
+  JoinExecutor exec(db);
   Result<DeltaRows> r = exec.Execute(q, /*txn=*/nullptr, stats);
   if (!r.ok()) return r.status();
   ApplyLocked(std::move(r).value());

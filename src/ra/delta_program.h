@@ -5,8 +5,8 @@
 // A forward propagation query Q^V[i] joins one delta range sigma(Delta^R_i)
 // against the CURRENT state of every other term of the view. The interpreted
 // path (ra/executor.cc) re-plans that join per strip: pushdown splitting,
-// predicate compilation, cache-key fingerprinting and hash builds all run
-// once per query, which dominates E11 at small delta intervals. A
+// predicate compilation and hash builds or index probes all run once per
+// query, which dominates E11 at small delta intervals. A
 // DeltaProgram specializes Q^V[i] once, at CreateView time:
 //
 //  * The join of all OTHER terms -- with every single-term and intra-group
@@ -29,12 +29,10 @@
 //                          |><| sigma_{A,T}(Delta^m_k)
 //                          |><| m_{k+1}(T) |><| ... |><| m_K(T)
 //
-// executed as snapshot join queries through the interpreted executor with
-// the BuildCache explicitly BYPASSED (a half-join advance must not pollute
-// admission or hit-rate accounting -- the cache's metrics stay meaningful
-// under the compiled mode). Each half-join view holds a Db snapshot pin at
-// its as-of CSN so the version store can always reproduce the old side of
-// the expansion; pins rotate forward on every advance.
+// executed as snapshot join queries through the interpreted executor. Each
+// half-join view holds a Db snapshot pin at its as-of CSN so the version
+// store can always reproduce the old side of the expansion; pins rotate
+// forward on every advance.
 //
 // Crash consistency: half-join state is volatile and DERIVED -- it is never
 // checkpointed. ViewManager::Recover (and Materialize, and online repair)
@@ -55,7 +53,6 @@
 
 #include "common/csn.h"
 #include "common/result.h"
-#include "ra/build_cache.h"
 #include "ra/compiled_pred.h"
 #include "ra/expr.h"
 #include "ra/join_query.h"

@@ -27,22 +27,14 @@ struct ArenaRow {
   Csn ts = kNullCsn;
 };
 
-// Per-term input rows. Backed either by a pinned immutable BuildCache entry
-// (borrowed wholesale; base rows carry count +1 and a null timestamp) or by
-// an explicit ArenaRow vector.
+// Per-term input rows; partial rows reference them by slot.
 struct TermArena {
-  std::shared_ptr<const BuildCache::Entry> entry;
   std::vector<ArenaRow> rows;
 
-  bool from_entry() const { return entry != nullptr; }
-  size_t size() const {
-    return from_entry() ? entry->tuples.size() : rows.size();
-  }
-  const Tuple& tuple(uint32_t s) const {
-    return from_entry() ? entry->tuples[s] : *rows[s].tuple;
-  }
-  int64_t count(uint32_t s) const { return from_entry() ? 1 : rows[s].count; }
-  Csn ts(uint32_t s) const { return from_entry() ? kNullCsn : rows[s].ts; }
+  size_t size() const { return rows.size(); }
+  const Tuple& tuple(uint32_t s) const { return *rows[s].tuple; }
+  int64_t count(uint32_t s) const { return rows[s].count; }
+  Csn ts(uint32_t s) const { return rows[s].ts; }
 };
 
 // Partially-joined rows, struct-of-arrays: one flat uint32 slab row of
@@ -155,31 +147,9 @@ Result<DeltaRows> JoinExecutor::Execute(const JoinQuery& query, Txn* txn,
   std::vector<CompiledPred> term_filter(n);
   for (size_t i = 0; i < n; ++i) term_filter[i] = CompilePred(term_pred[i]);
 
-  // Snapshot keys: the CSN at which a base term can be served from the
-  // BuildCache (kNullCsn = not snapshot-keyed). Keys are canonicalized to
-  // the table's last-change CSN: consecutive propagation queries run at
-  // successive commit CSNs, but as long as the base table itself has not
-  // changed they all map to one cache entry.
-  std::vector<Csn> snap_key(n, kNullCsn);
-  for (size_t i = 0; i < n; ++i) {
-    const TermSource& t = query.terms[i];
-    if (t.kind == TermSource::Kind::kBaseSnapshot) {
-      Csn last = tables[i]->last_change_csn();
-      snap_key[i] = (last <= t.snapshot_csn) ? last : t.snapshot_csn;
-    } else if (t.kind == TermSource::Kind::kBaseCurrent &&
-               query.current_snapshot_hint != kNullCsn &&
-               query.current_snapshot_hint <= db_->stable_csn() &&
-               !txn->HasPendingWriteOn(tables[i])) {
-      // Under the table-S lock, current state == the snapshot at the hint;
-      // a last-change CSN above the hint would contradict that, so treat it
-      // as an unusable hint rather than trust it.
-      Csn last = tables[i]->last_change_csn();
-      if (last <= query.current_snapshot_hint) snap_key[i] = last;
-    }
-  }
   // Arenas hold every input row per term; partial rows reference arena
-  // slots. The spill owns tuples that must be copied (probe results and
-  // uncached scans); a deque keeps their addresses stable under growth.
+  // slots. The spill owns tuples that must be copied (probe and scan
+  // results); a deque keeps their addresses stable under growth.
   std::vector<TermArena> arena(n);
   std::vector<bool> bound(n, false);
   std::vector<bool> materialized(n, false);
@@ -201,57 +171,6 @@ Result<DeltaRows> JoinExecutor::Execute(const JoinQuery& query, Txn* txn,
     if (term_filter[i].empty() || term_filter[i].Admits(t)) return true;
     local.pushdown_filtered++;
     return false;
-  };
-
-  auto cache_key = [&](size_t i, std::vector<size_t> cols) {
-    BuildCache::Key key;
-    key.table = query.terms[i].table;
-    key.snapshot_csn = snap_key[i];
-    key.join_cols = std::move(cols);
-    if (term_pred[i] != nullptr) {
-      key.pred_fingerprint = term_pred[i]->ToString();
-    }
-    return key;
-  };
-
-  // Builder for a cache entry of term i: admitted tuples at the canonical
-  // snapshot, plus a hash index over `cols` when joining. Runs at most once
-  // per distinct key engine-wide; its copies are build cost, not per-query
-  // copy traffic, so they do not count into rows_copied.
-  auto entry_builder = [&](size_t i, std::vector<size_t> cols) {
-    return [&tables, &term_pred, &snap_key, i,
-            cols = std::move(cols)](BuildCache::Entry* e) -> Status {
-      const ExprPtr& pred = term_pred[i];
-      tables[i]->ScanVisitSnapshot(snap_key[i], [&](const Tuple& t) {
-        if (pred != nullptr && !pred->EvalBool(t)) return;
-        e->tuples.push_back(t);
-      });
-      if (!cols.empty()) {
-        e->index.reserve(e->tuples.size());
-        for (size_t s = 0; s < e->tuples.size(); ++s) {
-          JoinKey k;
-          k.values.reserve(cols.size());
-          for (size_t c : cols) k.values.push_back(e->tuples[s][c]);
-          e->index[std::move(k)].push_back(static_cast<uint32_t>(s));
-        }
-      }
-      return Status::OK();
-    };
-  };
-
-  auto fetch_entry = [&](size_t i, std::vector<size_t> cols)
-      -> Result<std::shared_ptr<const BuildCache::Entry>> {
-    BuildCache::Key key = cache_key(i, cols);
-    ROLLVIEW_ASSIGN_OR_RETURN(
-        BuildCache::Lookup lookup,
-        cache_->GetOrBuild(key, entry_builder(i, std::move(cols))));
-    if (lookup.hit) {
-      local.build_cache_hits++;
-    } else {
-      local.build_cache_misses++;
-      local.build_nanos += lookup.entry->build_nanos;
-    }
-    return std::move(lookup.entry);
   };
 
   auto materialize = [&](size_t i) -> Status {
@@ -281,15 +200,7 @@ Result<DeltaRows> JoinExecutor::Execute(const JoinQuery& query, Txn* txn,
       }
       return Status::OK();
     }
-    if (cache_ != nullptr && snap_key[i] != kNullCsn) {
-      // Snapshot-keyed scan served from (or built into) the cache; the
-      // pinned entry backs the arena directly.
-      ROLLVIEW_ASSIGN_OR_RETURN(arena[i].entry, fetch_entry(i, {}));
-      local.input_rows += arena[i].entry->tuples.size();
-      for (const Tuple& tp : arena[i].entry->tuples) note_borrow(tp);
-      return Status::OK();
-    }
-    // Uncached scan: copy admitted rows into the spill.
+    // Base scan: copy admitted rows into the spill.
     auto visit = [&](const Tuple& tp) {
       local.input_rows++;
       if (!admits(i, tp)) return;
@@ -331,7 +242,7 @@ Result<DeltaRows> JoinExecutor::Execute(const JoinQuery& query, Txn* txn,
   size_t num_bound = 1;
   std::vector<bool> pred_used(query.equi_joins.size(), false);
 
-  enum class Mode { kProbe, kCachedJoin, kHashJoin, kCartesian };
+  enum class Mode { kProbe, kHashJoin, kCartesian };
   // A predicate connecting the bound set to the candidate term:
   // (equi_joins index, bound term, bound col, candidate col).
   struct Conn {
@@ -362,9 +273,7 @@ Result<DeltaRows> JoinExecutor::Execute(const JoinQuery& query, Txn* txn,
     };
 
     // First pass: base candidates reachable through a hash-indexed join
-    // column (probe-able). A snapshot-keyed candidate upgrades to a cached
-    // join when a build is already resident or the driving side is large
-    // enough to amortize building one.
+    // column (probe-able).
     for (size_t cand = 0; cand < n && next == SIZE_MAX; ++cand) {
       if (bound[cand]) continue;
       if (query.terms[cand].kind == TermSource::Kind::kRows) continue;
@@ -381,32 +290,14 @@ Result<DeltaRows> JoinExecutor::Execute(const JoinQuery& query, Txn* txn,
     }
     if (next != SIZE_MAX) {
       mode = Mode::kProbe;
-      if (cache_ != nullptr && snap_key[next] != kNullCsn) {
-        std::vector<size_t> cols;
-        cols.reserve(connecting.size());
-        for (const Conn& c : connecting) cols.push_back(c.nc);
-        // Upgrade when the driving side is large enough to amortize a
-        // build within this query, or when the cache has seen this key
-        // before (resident, or second touch): propagation steps repeat the
-        // same snapshot key query after query, so a recurring key amortizes
-        // the build across the run even if every driving side is tiny.
-        if (current.size() >= kCachedBuildThreshold ||
-            cache_->ShouldBuildForProbe(cache_key(next, std::move(cols)))) {
-          mode = Mode::kCachedJoin;
-        }
-      }
-    }
-    if (next == SIZE_MAX) {
-      // Second pass: any connected candidate (hash join; snapshot-keyed
-      // base builds route through the cache).
+    } else {
+      // Second pass: any connected candidate (hash join).
       for (size_t cand = 0; cand < n && next == SIZE_MAX; ++cand) {
         if (bound[cand]) continue;
         gather(cand);
         if (!connecting.empty()) {
           next = cand;
-          mode = (cache_ != nullptr && snap_key[cand] != kNullCsn)
-                     ? Mode::kCachedJoin
-                     : Mode::kHashJoin;
+          mode = Mode::kHashJoin;
         }
       }
     }
@@ -430,7 +321,7 @@ Result<DeltaRows> JoinExecutor::Execute(const JoinQuery& query, Txn* txn,
       std::vector<bool> satisfied(query.equi_joins.size(), false);
       if (mode == Mode::kProbe) {
         satisfied[connecting[probe_conn].pred] = true;
-      } else if (mode == Mode::kCachedJoin || mode == Mode::kHashJoin) {
+      } else if (mode == Mode::kHashJoin) {
         for (const Conn& c : connecting) satisfied[c.pred] = true;
       }
       for (size_t p = 0; p < query.equi_joins.size(); ++p) {
@@ -483,31 +374,6 @@ Result<DeltaRows> JoinExecutor::Execute(const JoinQuery& query, Txn* txn,
         } else {
           tables[next]->ProbeVisitSnapshot(tsrc.snapshot_csn, pc.nc, key,
                                            on_match);
-        }
-      }
-    } else if (mode == Mode::kCachedJoin) {
-      std::vector<size_t> cols;
-      cols.reserve(connecting.size());
-      for (const Conn& c : connecting) cols.push_back(c.nc);
-      ROLLVIEW_ASSIGN_OR_RETURN(arena[next].entry,
-                                fetch_entry(next, std::move(cols)));
-      materialized[next] = true;
-      const BuildCache::Entry& entry = *arena[next].entry;
-      JoinKey key;
-      for (size_t r = 0; r < current.size(); ++r) {
-        const uint32_t* slots = current.slots(r);
-        key.values.clear();
-        for (const Conn& c : connecting) {
-          key.values.push_back(arena[c.bt].tuple(slots[c.bt])[c.bc]);
-        }
-        auto it = entry.index.find(key);
-        if (it == entry.index.end()) continue;
-        for (uint32_t s : it->second) {
-          const Tuple& m = entry.tuples[s];
-          local.input_rows++;
-          note_borrow(m);
-          if (!passes(slots, m)) continue;
-          joined.AppendExtended(current, r, next, s, 1, kNullCsn);
         }
       }
     } else if (mode == Mode::kHashJoin) {

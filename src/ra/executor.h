@@ -6,23 +6,15 @@
 // (post-pushdown) materialized kRows term. Each next term is chosen among
 // terms connected to the bound set by at least one equi-join predicate:
 //
-//  * snapshot-keyed base terms (kBaseSnapshot, or kBaseCurrent covered by
-//    JoinQuery::current_snapshot_hint) join through the engine's BuildCache
-//    when a cached build is resident or the driving side is large enough to
-//    amortize one -- the cached hash table is shared by every propagation
-//    query at the same (table, last-change CSN, join columns, pushed
-//    predicate);
-//  * otherwise a base term whose join column is hash-indexed is fetched by
-//    per-row index probes (small delta driving lookups into a large base
-//    table);
+//  * a base term whose join column is hash-indexed is fetched by per-row
+//    index probes (small delta driving lookups into a large base table);
 //  * otherwise the term is materialized and hash-joined; disconnected terms
 //    fall back to a cartesian product.
 //
-// Zero-copy contract: input tuples are *borrowed* wherever their storage
-// outlives the query -- kRows tuples in place from the caller's DeltaRows,
-// cache-served tuples from the pinned immutable entry -- and only probe /
-// uncached-scan results are deep-copied into executor-owned storage.
-// ExecStats::rows_copied / rows_borrowed account the split.
+// Zero-copy contract: kRows tuples are *borrowed* in place from the
+// caller's DeltaRows; only base-table probe and scan results are
+// deep-copied into executor-owned storage. ExecStats::rows_copied /
+// rows_borrowed account the split.
 //
 // Current-state base reads require `txn` to hold (at least) an S lock on
 // the table; the executor acquires it if the caller has not.
@@ -33,7 +25,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "ra/build_cache.h"
 #include "ra/join_query.h"
 #include "storage/db.h"
 
@@ -41,15 +32,7 @@ namespace rollview {
 
 class JoinExecutor {
  public:
-  // Uses the engine's shared BuildCache (nullptr when disabled).
-  explicit JoinExecutor(Db* db) : db_(db), cache_(db->build_cache()) {}
-  // Explicit cache override; pass nullptr to force uncached execution.
-  JoinExecutor(Db* db, BuildCache* cache) : db_(db), cache_(cache) {}
-
-  // Once the driving partial-row set is at least this large, a snapshot-
-  // keyed term is joined through a (new) cached build instead of per-row
-  // index probes; below it, a build is only used when already resident.
-  static constexpr size_t kCachedBuildThreshold = 64;
+  explicit JoinExecutor(Db* db) : db_(db) {}
 
   // Evaluates `query`. `txn` is required iff any term is kBaseCurrent.
   // `stats`, if non-null, is incremented with this execution's work.
@@ -58,7 +41,6 @@ class JoinExecutor {
 
  private:
   Db* db_;
-  BuildCache* cache_;
 };
 
 }  // namespace rollview

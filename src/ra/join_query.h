@@ -23,6 +23,26 @@
 
 namespace rollview {
 
+// Composite equi-join key: the values of several columns hashed together.
+// Shared by the executor's hash joins and the half-join view indexes.
+struct JoinKey {
+  std::vector<Value> values;
+
+  friend bool operator==(const JoinKey& a, const JoinKey& b) {
+    return a.values == b.values;
+  }
+};
+
+struct JoinKeyHasher {
+  size_t operator()(const JoinKey& k) const {
+    size_t h = 0x243f6a8885a308d3ULL;
+    for (const Value& v : k.values) {
+      h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return h;
+  }
+};
+
 struct TermSource {
   enum class Kind {
     kBaseCurrent,   // base table, read inside the executing transaction
@@ -72,14 +92,6 @@ struct JoinQuery {
   std::vector<size_t> projection;
   // Multiplied into every output count (compensation queries pass -1).
   int64_t sign = +1;
-  // Optional optimizer hint: the stable CSN whose snapshot is known to equal
-  // the current-visible state of every kBaseCurrent term. Valid only when
-  // the executing transaction holds (at least) S locks on those tables and
-  // has no pending writes on them -- then strict 2PL guarantees no version
-  // can commit or change underneath, so current == SnapshotScan(hint). Set
-  // by QueryRunner/SyncRefresher after lock acquisition; lets the executor
-  // serve kBaseCurrent terms from the snapshot-keyed BuildCache.
-  Csn current_snapshot_hint = kNullCsn;
 };
 
 // Execution statistics, accumulated across queries by the IVM layer to
@@ -93,21 +105,14 @@ struct ExecStats {
   // selection pushed below the join.
   uint64_t pushdown_filtered = 0;
   // Zero-copy accounting: input rows deep-copied into executor-owned
-  // storage vs borrowed (referenced in place from caller-owned delta rows
-  // or pinned immutable cache entries). Entry *builds* are not counted here
-  // -- they are amortized across queries and tracked via build_cache_misses
-  // and build_nanos -- so a warm cached query reports rows_copied == 0 on
-  // its snapshot-served terms.
+  // storage (base-table probes and scans) vs borrowed (referenced in place
+  // from caller-owned delta rows).
   uint64_t rows_copied = 0;
   uint64_t rows_borrowed = 0;
   uint64_t bytes_copied = 0;
   uint64_t bytes_borrowed = 0;
-  // BuildCache traffic attributable to these queries.
-  uint64_t build_cache_hits = 0;
-  uint64_t build_cache_misses = 0;
-  uint64_t build_nanos = 0;  // time spent building cache entries (misses)
-  // Wall time inside JoinExecutor::Execute (includes build_nanos), so
-  // callers can split executor cost from transaction/WAL/capture overhead.
+  // Wall time inside JoinExecutor::Execute, so callers can split executor
+  // cost from transaction/WAL/capture overhead.
   uint64_t exec_nanos = 0;
   // Compiled delta-program path (ra/delta_program.h). A compiled forward
   // query probes materialized half-join views instead of re-joining terms;
@@ -131,9 +136,6 @@ struct ExecStats {
     rows_borrowed += o.rows_borrowed;
     bytes_copied += o.bytes_copied;
     bytes_borrowed += o.bytes_borrowed;
-    build_cache_hits += o.build_cache_hits;
-    build_cache_misses += o.build_cache_misses;
-    build_nanos += o.build_nanos;
     exec_nanos += o.exec_nanos;
     compiled_queries += o.compiled_queries;
     compiled_probe_rows += o.compiled_probe_rows;

@@ -2,6 +2,14 @@
 
 namespace rollview {
 
+size_t TupleApproxBytes(const Tuple& t) {
+  size_t bytes = sizeof(Tuple) + t.size() * sizeof(Value);
+  for (const Value& v : t) {
+    if (v.type() == ValueType::kString) bytes += v.AsString().size();
+  }
+  return bytes;
+}
+
 size_t HashTuple(const Tuple& t) {
   size_t h = 0x243f6a8885a308d3ULL;
   for (const Value& v : t) {

@@ -25,6 +25,9 @@ using Tuple = std::vector<Value>;
 
 size_t HashTuple(const Tuple& t);
 std::string TupleToString(const Tuple& t);
+// Approximate heap footprint of a tuple (half-join budgeting and the
+// borrowed/copied byte accounting in ExecStats).
+size_t TupleApproxBytes(const Tuple& t);
 
 struct TupleHasher {
   size_t operator()(const Tuple& t) const { return HashTuple(t); }

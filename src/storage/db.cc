@@ -1,10 +1,8 @@
 #include "storage/db.h"
 
 #include <cassert>
-#include <thread>
 
 #include "obs/freshness.h"
-#include "ra/build_cache.h"
 #include "storage/wal_codec.h"
 #include "storage/wal_segment.h"
 
@@ -14,9 +12,6 @@ Db::Db(DbOptions options)
     : options_(options),
       lock_manager_(options.lock_options),
       wall_clock_([] { return std::chrono::system_clock::now(); }) {
-  if (options_.build_cache_bytes > 0) {
-    build_cache_ = std::make_unique<BuildCache>(options_.build_cache_bytes);
-  }
   if (!options_.wal_dir.empty()) {
     // Fresh engine, generation 1. An existing log in the directory fails
     // the open (kept attached in its failed state, so commits surface the
@@ -389,14 +384,11 @@ Status Db::Commit(Txn* txn) {
   if (wal_.durable()) {
     // Real group-commit log force, outside commit_mu_ and after lock
     // release: concurrent committers block together on the flusher's next
-    // fsync, so their waits overlap exactly as the simulated knob modeled.
+    // fsync, so their waits overlap.
     // A sync failure here means the store crashed or stopped -- the commit
     // is applied in memory but not durable, exactly a crash's in-flight
     // tail, and the caller must treat the engine as down.
     ROLLVIEW_RETURN_NOT_OK(wal_.SyncTo(commit_lsn));
-  } else if (options_.commit_latency.count() > 0) {
-    // Simulated log-force wait for the in-memory path.
-    std::this_thread::sleep_for(options_.commit_latency);
   }
   return Status::OK();
 }
@@ -582,10 +574,6 @@ void Db::GarbageCollect(Csn horizon) {
     // at horizon h drops versions with end_csn <= h, so h must stay <= s.
     horizon = oldest_pin;
   }
-  // Invalidate cached builds first: entries with snapshot_csn < horizon are
-  // about to become non-rebuildable from the version store, and a post-GC
-  // miss at such a snapshot would silently rebuild from collected history.
-  if (build_cache_ != nullptr) build_cache_->InvalidateBelow(horizon);
   std::lock_guard<std::mutex> lk(catalog_mu_);
   for (auto& [id, e] : tables_) {
     e->table->GarbageCollect(horizon);

@@ -77,18 +77,6 @@ struct DbOptions {
   // become no-ops). Classic contention/overhead trade: fewer lock-manager
   // entries, coarser conflicts. 0 disables escalation.
   size_t lock_escalation_threshold = 0;
-  // Byte budget of the snapshot-keyed join BuildCache shared by every
-  // JoinExecutor running against this engine (src/ra/build_cache.h).
-  // 0 disables the cache entirely (build_cache() returns nullptr).
-  size_t build_cache_bytes = 64u << 20;
-  // Simulated durability wait per commit (group-commit / fsync stand-in for
-  // an in-memory WAL). Charged AFTER the commit critical section, so
-  // concurrent committers overlap their waits exactly as group commit
-  // overlaps log-force latency. Zero (the default) disables it; benches use
-  // it to model log-force-bound propagation (EXPERIMENTS.md E13). Ignored
-  // when wal_dir is set: the file-backed WAL's real group-commit sync
-  // replaces the simulation.
-  std::chrono::microseconds commit_latency{0};
   // When non-empty, the WAL is file-backed: a segmented on-disk log in this
   // directory, written through a group-commit flusher; Commit blocks until
   // its commit record's batch is fsynced (storage/wal_segment.h). The
@@ -113,7 +101,6 @@ struct DbOptions {
 
 using TuplePredicate = std::function<bool(const Tuple&)>;
 
-class BuildCache;
 namespace obs {
 class FreshnessTracker;
 }  // namespace obs
@@ -241,12 +228,6 @@ class Db {
   // its commit record is in the log), which is what wakes log capture.
   CsnFrontier* stable_frontier() { return &stable_; }
 
-  // Shared snapshot-keyed join build cache; nullptr when disabled
-  // (DbOptions::build_cache_bytes == 0). GarbageCollect invalidates entries
-  // below its horizon so the cache never serves snapshots the version store
-  // can no longer reproduce.
-  BuildCache* build_cache() const { return build_cache_.get(); }
-
   // Wall-clock time the commit path records into the UOW table. Benchmarks
   // leave the default (system_clock::now).
   void SetWallClock(std::function<WallTime()> clock);
@@ -319,7 +300,6 @@ class Db {
   LockManager lock_manager_;
   Wal wal_;
   UowTable uow_;
-  std::unique_ptr<BuildCache> build_cache_;
   std::atomic<FaultInjector*> fault_injector_{nullptr};
   std::atomic<obs::FreshnessTracker*> freshness_{nullptr};
 

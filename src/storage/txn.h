@@ -39,17 +39,6 @@ class Txn {
   // Commit CSN; kNullCsn until committed.
   Csn commit_csn() const { return commit_csn_; }
 
-  // True if this transaction has an uncommitted insert or delete on `table`.
-  // The executor uses this to decide whether a current-state read may be
-  // served from the stable snapshot (JoinQuery::current_snapshot_hint): a
-  // pending write makes current-visible state differ from any snapshot.
-  bool HasPendingWriteOn(const VersionedTable* table) const {
-    for (const WriteOp& op : write_ops_) {
-      if (op.table == table) return true;
-    }
-    return false;
-  }
-
  private:
   friend class Db;
 

@@ -129,8 +129,8 @@ class VersionedTable {
   // Highest commit CSN stamped on any version (insert or delete) of this
   // table; kNullCsn if never written. For any csn c <= the manager's stable
   // CSN with last_change_csn() <= c, the table's content at c equals its
-  // content at last_change_csn() -- the BuildCache uses this to canonicalize
-  // snapshot keys so queries at successive quiescent CSNs share one entry.
+  // content at last_change_csn() -- compiled delta programs use this to
+  // tell whether a half-join view is still current.
   Csn last_change_csn() const;
 
   // Number of currently committed-visible rows (approximate live size).

@@ -225,6 +225,51 @@ TEST_F(MaintenanceTest, PausedPropagationFreezesHwm) {
   EXPECT_TRUE(MvMatchesOracle());
 }
 
+// A pause returns only once the driver is between steps. Hold a step on a
+// base-table lock, pause from another thread, then release the lock: the
+// pause must wait for the step, and the hwm it leaves must stay put.
+TEST_F(MaintenanceTest, PauseWaitsForTheStepInFlight) {
+  MaintenanceService service(env_.views(), view_);
+  service.Start();
+  RunUpdates(4, 21);
+  ASSERT_OK(service.Drain(env_.db()->stable_csn()));
+
+  // Propagating R's updates S-locks table S; this transaction's X lock
+  // blocks the next step there.
+  auto blocker = env_.db()->Begin();
+  ASSERT_OK(env_.db()->LockTableExclusive(blocker.get(), workload_.s));
+  LockManager* locks = env_.db()->lock_manager();
+  auto maintenance_waits = [locks] {
+    return locks->GetStats().cls(TxnClass::kMaintenance).waits;
+  };
+  const uint64_t waits_before = maintenance_waits();
+  RunUpdates(4, 22);
+  while (maintenance_waits() == waits_before) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::atomic<bool> pause_returned{false};
+  Csn hwm_at_pause = kNullCsn;
+  std::thread pauser([&] {
+    service.PausePropagation();
+    hwm_at_pause = view_->high_water_mark();
+    pause_returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(pause_returned.load())
+      << "PausePropagation returned while a step was in flight";
+  ASSERT_OK(env_.db()->Abort(blocker.get()));
+  pauser.join();
+
+  RunUpdates(4, 23);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(view_->high_water_mark(), hwm_at_pause);
+  service.ResumePropagation();
+  ASSERT_OK(service.Drain(env_.db()->stable_csn()));
+  ASSERT_OK(service.Stop());
+  EXPECT_TRUE(MvMatchesOracle());
+}
+
 TEST_F(MaintenanceTest, DrainReturnsBusyWhenPropagationIsPaused) {
   MaintenanceService service(env_.views(), view_);
   service.PausePropagation();

@@ -3,8 +3,8 @@
 // Compiled delta programs (ra/delta_program.h): golden plan dumps for the
 // lowering (byte-stable across runs -- the plan-drift tripwire), half-join
 // de-duplication on self-join shapes, compiled-vs-interpreted equivalence
-// under Definition 4.2, BuildCache bypass on the half-join maintenance
-// path, graceful per-term fallback for unflattenable residuals, and the
+// under Definition 4.2, half-join maintenance on the forward path,
+// graceful per-term fallback for unflattenable residuals, and the
 // incremental-advance / reset-rebuild lifecycle.
 
 #include "ra/delta_program.h"
@@ -194,29 +194,40 @@ TEST(DeltaProgramGoldenTest, UnflattenableResidualStaysInterpreted) {
 
 // --- End-to-end propagation --------------------------------------------
 
+// Loads the seeded two-table workload and materializes view "V" over it.
+// The workload and update streams are deterministic, so engines loaded
+// alike see the same commit history.
+void LoadSeeded(TestEnv* env, TwoTableWorkload* workload, View** view) {
+  ASSERT_OK_AND_ASSIGN(*workload,
+                       TwoTableWorkload::Create(env->db(), 40, 30, 6, 19));
+  env->CatchUpCapture();
+  ASSERT_OK_AND_ASSIGN(*view,
+                       env->views()->CreateView("V", workload->ViewDef()));
+  ASSERT_OK(env->views()->Materialize(*view));
+}
+
+void RunSeededUpdates(TestEnv* env, const TwoTableWorkload& workload,
+                      size_t txns, uint64_t seed, bool touch_s = true) {
+  UpdateStream r_stream(env->db(), workload.RStream(1, seed), seed);
+  UpdateStream s_stream(env->db(), workload.SStream(2, seed + 1), seed + 1);
+  for (size_t i = 0; i < txns; ++i) {
+    ASSERT_OK(r_stream.RunTransaction());
+    if (touch_s && i % 2 == 1) ASSERT_OK(s_stream.RunTransaction());
+  }
+  env->CatchUpCapture();
+}
+
 class DeltaProgramPropagationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_OK_AND_ASSIGN(
-        workload_, TwoTableWorkload::Create(env_.db(), 40, 30, 6, 19));
-    env_.CatchUpCapture();
-    ASSERT_OK_AND_ASSIGN(view_,
-                         env_.views()->CreateView("V", workload_.ViewDef()));
-    ASSERT_OK(env_.views()->Materialize(view_));
+    ASSERT_NO_FATAL_FAILURE(LoadSeeded(&env_, &workload_, &view_));
     ASSERT_NE(view_->programs, nullptr)
         << "CreateView must compile delta programs by default";
     t0_ = view_->propagate_from.load();
   }
 
   void RunUpdates(size_t txns, uint64_t seed, bool touch_s = true) {
-    UpdateStream r_stream(env_.db(), workload_.RStream(1, seed), seed);
-    UpdateStream s_stream(env_.db(), workload_.SStream(2, seed + 1),
-                          seed + 1);
-    for (size_t i = 0; i < txns; ++i) {
-      ASSERT_OK(r_stream.RunTransaction());
-      if (touch_s && i % 2 == 1) ASSERT_OK(s_stream.RunTransaction());
-    }
-    env_.CatchUpCapture();
+    RunSeededUpdates(&env_, workload_, txns, seed, touch_s);
   }
 
   TestEnv env_;
@@ -237,15 +248,21 @@ TEST_F(DeltaProgramPropagationTest, CompiledMatchesInterpreted) {
   EXPECT_GT(compiled.runner()->stats().exec.compiled_probe_rows, 0u);
   DeltaRows compiled_delta = view_->view_delta->Scan(CsnRange{t0_, ready});
 
-  // Interpreted path over the identical history.
-  ASSERT_OK_AND_ASSIGN(View* v2,
-                       env_.views()->CreateView("V2", workload_.ViewDef()));
-  v2->propagate_from.store(t0_);
-  v2->delta_hwm.Reset(t0_);
-  PropagatorOptions interp_opts;
-  interp_opts.runner.use_compiled_programs = false;
-  Propagator interpreted(env_.views(), v2,
-                         std::make_unique<FixedInterval>(2), interp_opts);
+  // Interpreted path over the identical history, on an engine that does
+  // not compile delta programs.
+  DbOptions interp_opts;
+  interp_opts.compile_delta_programs = false;
+  TestEnv interp_env(CaptureOptions{}, interp_opts);
+  TwoTableWorkload interp_workload;
+  View* v2 = nullptr;
+  ASSERT_NO_FATAL_FAILURE(LoadSeeded(&interp_env, &interp_workload, &v2));
+  ASSERT_EQ(v2->programs, nullptr);
+  ASSERT_EQ(v2->propagate_from.load(), t0_);
+  ASSERT_NO_FATAL_FAILURE(
+      RunSeededUpdates(&interp_env, interp_workload, 14, 21));
+  ASSERT_EQ(interp_env.capture()->high_water_mark(), ready);
+  Propagator interpreted(interp_env.views(), v2,
+                         std::make_unique<FixedInterval>(2));
   ASSERT_OK(interpreted.RunUntil(ready));
   EXPECT_EQ(interpreted.runner()->stats().exec.compiled_queries, 0u);
   DeltaRows interpreted_delta = v2->view_delta->Scan(CsnRange{t0_, ready});
@@ -256,10 +273,9 @@ TEST_F(DeltaProgramPropagationTest, CompiledMatchesInterpreted) {
                                    std::max<Csn>(1, (ready - t0_) / 5)));
 }
 
-TEST_F(DeltaProgramPropagationTest, HalfJoinMaintenanceBypassesBuildCache) {
+TEST_F(DeltaProgramPropagationTest, ForwardOnlyWorkloadProbesHalfJoins) {
   // Forward-only workload (R changes, S is quiet): every propagation query
-  // takes the compiled path, whose half-join rebuilds/advances must NOT
-  // touch the BuildCache -- admission and hit-rate metrics stay meaningful.
+  // takes the compiled path and probes the half-join view it built.
   RunUpdates(10, 31, /*touch_s=*/false);
   Csn ready = env_.capture()->high_water_mark();
   Propagator prop(env_.views(), view_, std::make_unique<FixedInterval>(2));
@@ -268,8 +284,6 @@ TEST_F(DeltaProgramPropagationTest, HalfJoinMaintenanceBypassesBuildCache) {
   const ExecStats& es = prop.runner()->stats().exec;
   EXPECT_GT(es.compiled_queries, 0u);
   EXPECT_GT(es.half_join_hits + es.half_join_misses, 0u);
-  EXPECT_EQ(es.build_cache_hits, 0u);
-  EXPECT_EQ(es.build_cache_misses, 0u);
   EXPECT_GE(es.half_join_rebuilds, 1u);  // first query built HJ(S)
   EXPECT_TRUE(CheckTimedDeltaWindow(env_.db(), view_, t0_, ready));
 }
@@ -326,29 +340,25 @@ TEST_F(DeltaProgramPropagationTest, UncompiledViewFallsBackSilently) {
 }
 
 TEST_F(DeltaProgramPropagationTest, CompileFlagOffSkipsPrograms) {
-  // TestEnv owns its Db with default options; build a flag-off engine
-  // directly instead.
   DbOptions options;
   options.compile_delta_programs = false;
-  auto db = std::make_unique<Db>(options);
-  auto capture = std::make_unique<LogCapture>(db.get(), CaptureOptions{});
-  auto views = std::make_unique<ViewManager>(db.get(), capture.get());
+  TestEnv env(CaptureOptions{}, options);
   ASSERT_OK_AND_ASSIGN(TwoTableWorkload w,
-                       TwoTableWorkload::Create(db.get(), 20, 20, 4, 61));
-  capture->CatchUp();
-  ASSERT_OK_AND_ASSIGN(View* v, views->CreateView("V", w.ViewDef()));
-  ASSERT_OK(views->Materialize(v));
+                       TwoTableWorkload::Create(env.db(), 20, 20, 4, 61));
+  env.CatchUpCapture();
+  ASSERT_OK_AND_ASSIGN(View* v, env.views()->CreateView("V", w.ViewDef()));
+  ASSERT_OK(env.views()->Materialize(v));
   EXPECT_EQ(v->programs, nullptr);
   Csn v0 = v->propagate_from.load();
 
-  UpdateStream updates(db.get(), w.RStream(1, 62), 62);
+  UpdateStream updates(env.db(), w.RStream(1, 62), 62);
   for (int i = 0; i < 6; ++i) ASSERT_OK(updates.RunTransaction());
-  capture->CatchUp();
-  Csn ready = capture->high_water_mark();
-  Propagator prop(views.get(), v, std::make_unique<DrainInterval>());
+  env.CatchUpCapture();
+  Csn ready = env.capture()->high_water_mark();
+  Propagator prop(env.views(), v, std::make_unique<DrainInterval>());
   ASSERT_OK(prop.RunUntil(ready));
   EXPECT_EQ(prop.runner()->stats().exec.compiled_queries, 0u);
-  EXPECT_TRUE(CheckTimedDeltaWindow(db.get(), v, v0, ready));
+  EXPECT_TRUE(CheckTimedDeltaWindow(env.db(), v, v0, ready));
 }
 
 }  // namespace

@@ -29,8 +29,9 @@ namespace rollview {
 // default (deterministic); call StartCapture() for background mode.
 class TestEnv {
  public:
-  explicit TestEnv(CaptureOptions capture_options = CaptureOptions{})
-      : db_(std::make_unique<Db>()),
+  explicit TestEnv(CaptureOptions capture_options = CaptureOptions{},
+                   DbOptions db_options = DbOptions{})
+      : db_(std::make_unique<Db>(db_options)),
         capture_(std::make_unique<LogCapture>(db_.get(), capture_options)),
         views_(std::make_unique<ViewManager>(db_.get(), capture_.get())) {}
 
