@@ -137,7 +137,7 @@ RowResult RunMode(const std::string& mode, size_t num_views) {
     CheckOk(env.capture.WaitForCsn(target), "capture");
     CheckOk(s->Drain(target), "drain");
     CheckOk(s->Stop(), "stop");
-    total_queries += s->runner_stats()->queries;
+    total_queries += s->runner_stats().queries;
   }
   if (shared_worker) {
     Csn target = env.db.stable_csn();
@@ -206,7 +206,7 @@ PartitionArmResult RunPartitionArm(uint32_t partitions) {
     obs::MetricsRegistry registry;
     MaintenanceService service(&env.views, view, mo);
     if (partitions > 1 && service.propagate_partitions() != partitions) {
-      CheckOk(Status::Internal("partition arm fell back to serial"), "arm");
+      CheckOk(Status::Internal("partition arm fell back to one strip"), "arm");
     }
     service.RegisterMetrics(&registry);
 
@@ -214,7 +214,7 @@ PartitionArmResult RunPartitionArm(uint32_t partitions) {
     Stopwatch sw;
     CheckOk(service.Drain(target), "drain");
     out.wall_ms = sw.ElapsedMillis();
-    out.delta_rows = service.runner_stats()->rows_appended;
+    out.delta_rows = service.runner_stats().rows_appended;
     out.snapshot = registry.Snapshot();
   }
   std::filesystem::remove_all(wal_dir);

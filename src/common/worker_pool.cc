@@ -18,14 +18,6 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void WorkerPool::Submit(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(std::move(fn));
-  }
-  work_cv_.notify_one();
-}
-
 void WorkerPool::RunAll(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
   Batch batch;
@@ -58,8 +50,6 @@ void WorkerPool::RunAll(std::vector<std::function<void()>> tasks) {
 void WorkerPool::WorkerMain() {
   std::unique_lock<std::mutex> lk(mu_);
   while (true) {
-    // Prefer barrier batches (a caller is blocked on them) over
-    // fire-and-forget work.
     Batch* batch = nullptr;
     for (Batch* b : batches_) {
       if (b->next < b->tasks->size()) {
@@ -73,14 +63,6 @@ void WorkerPool::WorkerMain() {
       (*batch->tasks)[idx]();
       lk.lock();
       if (++batch->done == batch->tasks->size()) batch->done_cv.notify_all();
-      continue;
-    }
-    if (!queue_.empty()) {
-      std::function<void()> fn = std::move(queue_.front());
-      queue_.pop_front();
-      lk.unlock();
-      fn();
-      lk.lock();
       continue;
     }
     if (stopping_) return;

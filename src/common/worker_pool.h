@@ -1,22 +1,20 @@
 // Copyright 2026 The rollview Authors.
 //
-// WorkerPool: a fixed set of threads executing submitted closures, shared by
-// the partitioned propagation drivers (ivm/parallel_rolling.h). One pool
-// serves many views: partition strips are short, CPU-bound rounds, so a
-// machine-sized pool bounds maintenance parallelism globally instead of
-// per-view (P views x P partitions must not oversubscribe the host).
+// WorkerPool: a fixed set of threads that help a caller run a batch of
+// closures. Each partitioned propagation coordinator (ivm/parallel_rolling.h)
+// owns one with P-1 threads for its P strips: the driver thread runs strips
+// too, so a one-strip view runs inline with no thread at all.
 //
-// The only synchronization primitive offered beyond Submit is RunAll, a
-// barrier: it runs every task (the calling thread steals work too, so a
-// RunAll of N tasks on a pool of any size -- even zero threads -- always
-// completes) and returns when all have finished. Tasks must not throw.
+// The one operation is RunAll, a barrier: it runs every task (the calling
+// thread steals work too, so a RunAll of N tasks on a pool of any size --
+// even zero threads -- always completes) and returns when all have
+// finished. Tasks must not throw.
 
 #ifndef ROLLVIEW_COMMON_WORKER_POOL_H_
 #define ROLLVIEW_COMMON_WORKER_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -32,9 +30,6 @@ class WorkerPool {
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
-
-  // Enqueues one task for asynchronous execution (fire-and-forget).
-  void Submit(std::function<void()> fn);
 
   // Executes every task and blocks until all complete. The caller
   // participates: it drains the batch alongside the workers, so progress
@@ -56,8 +51,7 @@ class WorkerPool {
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::deque<std::function<void()>> queue_;  // Submit()-ed tasks
-  std::vector<Batch*> batches_;              // active RunAll barriers
+  std::vector<Batch*> batches_;  // active RunAll barriers
   bool stopping_ = false;
   std::vector<std::thread> threads_;
 };

@@ -44,56 +44,70 @@ MaintenanceService::MaintenanceService(ViewManager* views, View* view,
     controller_ = std::make_unique<IntervalController>(options_.controller);
     last_lock_stats_ = views_->db()->lock_manager()->GetStats();
   }
-  auto make_policy = [&]() -> std::unique_ptr<IntervalPolicy> {
-    if (controller_ != nullptr) {
-      return std::make_unique<AdaptiveContentionInterval>(controller_.get());
-    }
-    return std::make_unique<TargetRowsInterval>(
-        options_.target_rows_per_query);
-  };
-  if (options_.algorithm == Options::Algorithm::kRolling) {
-    auto make_policies = [&]() {
-      std::vector<std::unique_ptr<IntervalPolicy>> policies;
-      for (size_t i = 0; i < view->resolved.num_terms(); ++i) {
-        policies.push_back(make_policy());
-      }
-      return policies;
-    };
-    RollingOptions ropts;
-    ropts.runner = options_.runner;
-    if (options_.propagate_partitions > 1) {
-      // Partitionability is a property of the view's join shape; check it
-      // separately so a non-partitionable view degrades to the serial
-      // driver, while a partitionable view whose durable cursors conflict
-      // with the requested count refuses to run (resuming mismatched
-      // chains could double-propagate; see partition_error_).
-      Result<std::vector<size_t>> cols =
-          ResolvePartitionColumns(view->resolved);
-      if (!cols.ok()) {
-        partition_fallback_ = cols.status();
-      } else {
-        ParallelRollingOptions popts;
-        popts.rolling = ropts;
-        popts.partitions = options_.propagate_partitions;
-        Result<std::unique_ptr<PartitionedRollingPropagator>> built =
-            PartitionedRollingPropagator::Create(views, view, make_policies,
-                                                 std::move(popts));
-        if (built.ok()) {
-          parallel_ = std::move(built).value();
-        } else {
-          partition_error_ = built.status();
-        }
-      }
-    }
-    if (parallel_ == nullptr) {
-      rolling_ = std::make_unique<RollingPropagator>(
-          views, view, make_policies(), std::move(ropts));
-    }
-  } else {
-    PropagatorOptions popts;
-    popts.runner = options_.runner;
-    plain_ = std::make_unique<Propagator>(views, view, make_policy(), popts);
+  if (options_.trace_journal_capacity > 0) {
+    journal_ =
+        std::make_unique<obs::TraceJournal>(options_.trace_journal_capacity);
+    propagate_tracer_.set_journal(journal_.get());
+    apply_tracer_.set_journal(journal_.get());
   }
+  if (options_.freshness != nullptr) {
+    // Seed visibility at the current MV position: commits already applied
+    // predate tracking and never enter the histograms.
+    freshness_ch_ =
+        options_.freshness->RegisterView(view_->name, view_->mv->csn());
+    if (options_.freshness_slo.target_staleness_nanos > 0) {
+      slo_ = std::make_unique<obs::FreshnessSlo>(options_.freshness_slo);
+    }
+  }
+
+  // Partitionability is a property of the view's join shape; check it
+  // separately so a non-partitionable view runs one strip, while durable
+  // cursors that conflict with the strip count refuse to run (resuming
+  // mismatched chains could double-propagate; see partition_error_).
+  ParallelRollingOptions popts;
+  popts.rolling.runner = options_.runner;
+  popts.partitions = std::max<uint32_t>(options_.propagate_partitions, 1);
+  if (popts.partitions > 1) {
+    Result<std::vector<size_t>> cols = ResolvePartitionColumns(view->resolved);
+    if (!cols.ok()) {
+      partition_fallback_ = cols.status();
+      popts.partitions = 1;
+    }
+  }
+  auto make_policies = [&]() {
+    std::vector<std::unique_ptr<IntervalPolicy>> policies;
+    for (size_t i = 0; i < view->resolved.num_terms(); ++i) {
+      if (controller_ != nullptr) {
+        policies.push_back(
+            std::make_unique<AdaptiveContentionInterval>(controller_.get()));
+      } else {
+        policies.push_back(std::make_unique<TargetRowsInterval>(
+            options_.target_rows_per_query));
+      }
+    }
+    return policies;
+  };
+  Result<std::unique_ptr<PartitionedRollingPropagator>> built =
+      PartitionedRollingPropagator::Create(views, view, make_policies,
+                                           std::move(popts));
+  if (!built.ok()) {
+    partition_error_ = built.status();
+  } else {
+    propagator_ = std::move(built).value();
+    if (journal_ != nullptr) {
+      std::vector<obs::StepTracer*> tracers;
+      for (uint32_t p = 0; p < propagator_->partitions(); ++p) {
+        strip_tracers_.push_back(std::make_unique<obs::StepTracer>());
+        strip_tracers_.back()->set_journal(journal_.get());
+        tracers.push_back(strip_tracers_.back().get());
+      }
+      propagator_->SetTracers(tracers);
+    }
+    if (freshness_ch_ != nullptr) {
+      propagator_->set_hwm_hook([this](Csn hwm) { PublishHwm(hwm); });
+    }
+  }
+
   ApplierOptions aopts;
   aopts.prune_view_delta = options_.prune_view_delta;
   applier_ = std::make_unique<Applier>(views, view, aopts);
@@ -106,42 +120,6 @@ MaintenanceService::MaintenanceService(ViewManager* views, View* view,
   if (options_.scrub_every_steps > 0) {
     scrubber_ = std::make_unique<Scrubber>(views, view, options_.scrub);
   }
-  if (options_.trace_journal_capacity > 0) {
-    journal_ =
-        std::make_unique<obs::TraceJournal>(options_.trace_journal_capacity);
-    propagate_tracer_.set_journal(journal_.get());
-    apply_tracer_.set_journal(journal_.get());
-    if (parallel_ != nullptr) {
-      std::vector<obs::StepTracer*> tracers;
-      for (uint32_t p = 0; p < parallel_->partitions(); ++p) {
-        strip_tracers_.push_back(std::make_unique<obs::StepTracer>());
-        strip_tracers_.back()->set_journal(journal_.get());
-        tracers.push_back(strip_tracers_.back().get());
-      }
-      parallel_->SetTracers(tracers);
-    } else if (rolling_ != nullptr) {
-      rolling_->set_tracer(&propagate_tracer_);
-    } else {
-      plain_->set_tracer(&propagate_tracer_);
-    }
-  }
-  if (options_.freshness != nullptr) {
-    // Seed visibility at the current MV position: commits already applied
-    // predate tracking and never enter the histograms.
-    freshness_ch_ =
-        options_.freshness->RegisterView(view_->name, view_->mv->csn());
-    auto hook = [this](Csn hwm) { PublishHwm(hwm); };
-    if (parallel_ != nullptr) {
-      parallel_->set_hwm_hook(hook);
-    } else if (rolling_ != nullptr) {
-      rolling_->set_hwm_hook(hook);
-    } else {
-      plain_->set_hwm_hook(hook);
-    }
-    if (options_.freshness_slo.target_staleness_nanos > 0) {
-      slo_ = std::make_unique<obs::FreshnessSlo>(options_.freshness_slo);
-    }
-  }
 }
 
 MaintenanceService::~MaintenanceService() {
@@ -151,16 +129,9 @@ MaintenanceService::~MaintenanceService() {
   if (registry_ != nullptr) registry_->DropOwner(this);
 }
 
-const RunnerStats* MaintenanceService::runner_stats() const {
-  if (parallel_ != nullptr) {
-    // Aggregate over the strips into a stable snapshot; same threading
-    // contract as the strips' own stats (read between rounds -- for
-    // cross-thread scrapes use the mirrors via RegisterMetrics).
-    parallel_runner_stats_ = parallel_->runner_stats();
-    return &parallel_runner_stats_;
-  }
-  return rolling_ != nullptr ? &rolling_->runner()->stats()
-                             : &plain_->runner()->stats();
+RunnerStats MaintenanceService::runner_stats() const {
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  return runner_mirror_;
 }
 
 Status MaintenanceService::PropagateStep(bool* advanced) {
@@ -170,8 +141,8 @@ Status MaintenanceService::PropagateStep(bool* advanced) {
   if (journal_ != nullptr) {
     // Supervision context for the trace the propagator is about to open: a
     // retried step carries its position in the failure streak and the
-    // health the supervisor reported when scheduling it. In parallel mode
-    // every strip of the round runs under the same supervision context.
+    // health the supervisor reported when scheduling it. Every strip of the
+    // round runs under the same supervision context.
     const uint64_t streak = static_cast<uint64_t>(
         propagate_driver_.consecutive.load(std::memory_order_relaxed));
     const char* health = DriverHealthName(propagate_health());
@@ -179,12 +150,8 @@ Status MaintenanceService::PropagateStep(bool* advanced) {
         controller_ != nullptr
             ? static_cast<int64_t>(controller_->target_rows())
             : static_cast<int64_t>(options_.target_rows_per_query);
-    if (parallel_ != nullptr) {
-      for (const auto& tracer : strip_tracers_) {
-        tracer->SetNextStepContext(streak, health, target);
-      }
-    } else {
-      propagate_tracer_.SetNextStepContext(streak, health, target);
+    for (const auto& tracer : strip_tracers_) {
+      tracer->SetNextStepContext(streak, health, target);
     }
   }
   // Freshness pickup stamp: the strip's start time, taken before the step
@@ -194,27 +161,10 @@ Status MaintenanceService::PropagateStep(bool* advanced) {
     strip_start_nanos_.store(freshness_ch_->Now(), std::memory_order_relaxed);
   }
   Status s = [&]() -> Status {
-    if (parallel_ != nullptr) {
-      Result<bool> r = parallel_->Step();
-      if (!r.ok()) return r.status();
-      *advanced = r.value();
-      if (!*advanced) {
-        Result<bool> settled = parallel_->TryFinish();
-        if (!settled.ok()) return settled.status();
-      }
-    } else if (rolling_ != nullptr) {
-      Result<bool> r = rolling_->Step();
-      if (!r.ok()) return r.status();
-      *advanced = r.value();
-      if (!*advanced) {
-        // Settle the tail so the HWM can reach the frontier at quiescence.
-        Result<bool> settled = rolling_->TryFinish();
-        if (!settled.ok()) return settled.status();
-      }
-    } else {
-      Result<bool> r = plain_->Step();
-      if (!r.ok()) return r.status();
-      *advanced = r.value();
+    ROLLVIEW_ASSIGN_OR_RETURN(*advanced, propagator_->Step());
+    if (!*advanced) {
+      // Settle the tail so the HWM can reach the frontier at quiescence.
+      ROLLVIEW_RETURN_NOT_OK(propagator_->TryFinish().status());
     }
     if (*advanced && checkpointer_ != nullptr) {
       // On the propagate driver thread, between steps: exactly the
@@ -270,24 +220,13 @@ Status MaintenanceService::PropagateStep(bool* advanced) {
   }
 
   {
-    // Mirror the driver-thread-local propagation stats for cross-thread
-    // metric scrapes (the hot structs are unsynchronized by design).
+    // Mirror the strips' stats for cross-thread metric scrapes (the hot
+    // structs are unsynchronized by design). The round barrier has passed,
+    // so the strips are quiescent and safe to aggregate here.
     std::lock_guard<std::mutex> lk(stats_mu_);
-    if (parallel_ != nullptr) {
-      // Round barrier has passed: the strips are quiescent, so their
-      // thread-local stats are safe to aggregate here.
-      runner_mirror_ = parallel_->runner_stats();
-      compute_delta_mirror_ = parallel_->compute_delta_stats();
-      rolling_mirror_ = parallel_->rolling_stats();
-    } else {
-      runner_mirror_ = *runner_stats();
-      if (rolling_ != nullptr) {
-        compute_delta_mirror_ = rolling_->compute_delta_stats();
-        rolling_mirror_ = rolling_->rolling_stats();
-      } else {
-        compute_delta_mirror_ = plain_->compute_delta_stats();
-      }
-    }
+    runner_mirror_ = propagator_->runner_stats();
+    compute_delta_mirror_ = propagator_->compute_delta_stats();
+    rolling_mirror_ = propagator_->rolling_stats();
   }
 
   if (controller_ != nullptr) {
@@ -357,11 +296,7 @@ void MaintenanceService::ObserveContention() {
     last_window_transient_errors_ = transient;
   }
 
-  if (parallel_ != nullptr) {
-    snap.backlog_rows = parallel_->BacklogRows();
-  } else if (rolling_ != nullptr) {
-    snap.backlog_rows = rolling_->BacklogRows();
-  }
+  snap.backlog_rows = propagator_->BacklogRows();
   backlog_gauge_.Set(static_cast<int64_t>(snap.backlog_rows));
   controller_->Observe(snap);
 }
@@ -907,28 +842,25 @@ void MaintenanceService::RegisterMetrics(obs::MetricsRegistry* registry) {
       "rollview_compute_delta_max_depth", lv,
       [compute] { return static_cast<int64_t>(compute().max_depth); }, owner);
 
-  if (rolling_ != nullptr || parallel_ != nullptr) {
-    auto roll = [this] {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      return rolling_mirror_;
-    };
-    registry->RegisterCounterFn(
-        "rollview_rolling_forward_total",
-        {{"view", v}, {"outcome", "executed"}},
-        [roll] { return roll().forward_queries; }, owner);
-    registry->RegisterCounterFn(
-        "rollview_rolling_forward_total", {{"view", v}, {"outcome", "skipped"}},
-        [roll] { return roll().forward_skipped; }, owner);
-    registry->RegisterCounterFn(
-        "rollview_rolling_compensation_segments_total", lv,
-        [roll] { return roll().compensation_segments; }, owner);
-  }
+  auto roll = [this] {
+    std::lock_guard<std::mutex> lk(stats_mu_);
+    return rolling_mirror_;
+  };
+  registry->RegisterCounterFn(
+      "rollview_rolling_forward_total", {{"view", v}, {"outcome", "executed"}},
+      [roll] { return roll().forward_queries; }, owner);
+  registry->RegisterCounterFn(
+      "rollview_rolling_forward_total", {{"view", v}, {"outcome", "skipped"}},
+      [roll] { return roll().forward_skipped; }, owner);
+  registry->RegisterCounterFn(
+      "rollview_rolling_compensation_segments_total", lv,
+      [roll] { return roll().compensation_segments; }, owner);
 
-  if (parallel_ != nullptr) {
-    // Partitioned propagation: strip count and each strip's published local
-    // mark. The view-level hwm gauge above is the minimum over these; a
-    // straggler partition shows up as the slot pinning that minimum.
-    PartitionedRollingPropagator* par = parallel_.get();
+  if (propagator_ != nullptr) {
+    // Strip count and each strip's published local mark. The view-level
+    // hwm gauge above is the minimum over these; a straggler partition
+    // shows up as the slot pinning that minimum.
+    PartitionedRollingPropagator* par = propagator_.get();
     registry->RegisterGaugeFn(
         "rollview_view_partitions", lv,
         [par] { return static_cast<int64_t>(par->partitions()); }, owner);
@@ -1137,23 +1069,16 @@ Status MaintenanceService::Drain(Csn target) {
     // Synchronous drain: drive the same PropagateStep the background driver
     // runs, so the checkpoint cadence fires and step counts accrue exactly
     // as they would under Start().
-    CsnFrontier* ready = views_->DeltaReadyFrontier();
-    while (view_->high_water_mark() < target) {
-      const Csn seen = ready->value();
-      bool advanced = false;
-      ROLLVIEW_RETURN_NOT_OK(PropagateStep(&advanced));
-      if (advanced) {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        propagate_driver_.stats.steps++;
-      } else {
-        if (views_->capture() != nullptr) {
-          // Give capture a chance to publish more of the log.
-          ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
-              std::min(target, views_->db()->stable_csn())));
-        }
-        ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
-      }
-    }
+    ROLLVIEW_RETURN_NOT_OK(views_->StepUntil(
+        target, [this] { return view_->high_water_mark(); },
+        [this](bool* advanced) {
+          Status s = PropagateStep(advanced);
+          if (s.ok() && *advanced) {
+            std::lock_guard<std::mutex> lk(stats_mu_);
+            propagate_driver_.stats.steps++;
+          }
+          return s;
+        }));
   }
   if (!options_.apply_continuously) return Status::OK();
   if (was_running) {

@@ -3,7 +3,10 @@
 // MaintenanceService: the deployment shape of the paper's prototype
 // (Figure 11) as a managed component -- one background propagation driver
 // and one background apply driver per view, independently pausable, plus a
-// ViewManager-wide retention service. The propagate and apply drivers are
+// ViewManager-wide retention service. Propagation is always rolling
+// propagation (Figure 10) run by a PartitionedRollingPropagator: P
+// hash-partitioned strips, or one strip on the driver thread when P = 1 or
+// the view cannot be partitioned. The propagate and apply drivers are
 // "completely independent" apart from producer/consumer ordering (Sec. 1);
 // pausing either (e.g. during load spikes) never affects correctness, only
 // staleness.
@@ -46,9 +49,7 @@
 #include "ivm/checkpoint.h"
 #include "ivm/interval_policy.h"
 #include "ivm/parallel_rolling.h"
-#include "ivm/propagate.h"
 #include "ivm/retention.h"
-#include "ivm/rolling.h"
 #include "ivm/scrub.h"
 #include "obs/freshness.h"
 #include "obs/registry.h"
@@ -101,8 +102,6 @@ struct DriverStats {
 class MaintenanceService {
  public:
   struct Options {
-    enum class Algorithm { kRolling, kPropagate };
-    Algorithm algorithm = Algorithm::kRolling;
     // Interval sizing. kTargetRows is the open-loop policy (a fixed
     // rows-per-query target); kAdaptive closes the loop with an
     // IntervalController fed by post-step ContentionSnapshots -- AIMD on
@@ -114,14 +113,14 @@ class MaintenanceService {
     // RollingPropagator directly. Ignored in kAdaptive mode: configure
     // controller.initial_target_rows (and its bounds) instead.
     size_t target_rows_per_query = 256;
-    // Number of hash partitions for rolling propagation (kRolling only).
-    // > 1 splits the view's delta streams into that many disjoint slices by
-    // join key and runs one propagation strip per slice concurrently on a
-    // worker pool (ivm/parallel_rolling.h); the view-level high-water mark
-    // is the minimum over the strips. Views without a join-equivalence
-    // class covering every term cannot be partitioned; the service then
-    // falls back to the serial propagator and records the reason (see
-    // partition_fallback()).
+    // Number of hash partitions for rolling propagation. > 1 splits the
+    // view's delta streams into that many disjoint slices by join key and
+    // runs one propagation strip per slice concurrently, on the propagate
+    // driver thread plus P-1 pool threads (ivm/parallel_rolling.h); the
+    // view-level high-water mark is the minimum over the strips. Views
+    // without a join-equivalence class covering every term cannot be
+    // partitioned; the service then runs one strip and records the reason
+    // (see partition_fallback()).
     uint32_t propagate_partitions = 1;
     // kAdaptive configuration.
     IntervalController::Options controller;
@@ -244,16 +243,23 @@ class MaintenanceService {
   DriverStats apply_driver_stats() const;
 
   View* view() const { return view_; }
-  const RunnerStats* runner_stats() const;
-  // Actual number of concurrent propagation strips (1 when serial).
+  // Query-runner counters summed over the strips, as of the last
+  // propagation step. Safe from any thread.
+  RunnerStats runner_stats() const;
+  // Actual number of propagation strips; 0 when the service refuses to
+  // propagate (see propagator()).
   uint32_t propagate_partitions() const {
-    return parallel_ != nullptr ? parallel_->partitions() : 1;
+    return propagator_ != nullptr ? propagator_->partitions() : 0;
   }
-  // The partitioned propagator; null when propagation runs serial.
-  PartitionedRollingPropagator* parallel() const { return parallel_.get(); }
+  // The propagation coordinator. Null only when the service refuses to
+  // propagate because durable cursors conflict with the partition count
+  // (Drain and the propagate driver then fail with that error).
+  PartitionedRollingPropagator* propagator() const {
+    return propagator_.get();
+  }
   // Non-OK when Options::propagate_partitions > 1 was requested but the
   // view has no join-equivalence class covering every term, so the service
-  // fell back to the serial propagator. Purely informational.
+  // runs one strip. Purely informational.
   const Status& partition_fallback() const { return partition_fallback_; }
   const Applier::Stats& apply_stats() const { return applier_->stats(); }
   // Null unless checkpoint_every_steps > 0.
@@ -333,7 +339,7 @@ class MaintenanceService {
   // the value it had before the step (or the heartbeat expires).
   void DriverLoop(Driver* driver, const std::function<Status(bool*)>& step,
                   uint64_t salt, CsnFrontier* upstream);
-  // Propagator hwm hook (installed when freshness is tracked): stamps the
+  // Coordinator hwm hook (installed when freshness is tracked): stamps the
   // strip's pickup and t_comp boundaries, then advances the view hwm. The
   // advance wakes the apply driver at once, so the stamps must come first
   // or its OnVisible would find them missing. May run on pool threads.
@@ -358,17 +364,15 @@ class MaintenanceService {
   View* view_;
   Options options_;
 
-  std::unique_ptr<RollingPropagator> rolling_;
-  std::unique_ptr<PartitionedRollingPropagator> parallel_;
-  std::unique_ptr<Propagator> plain_;
-  // Why partitioned propagation degraded to serial (view not
+  std::unique_ptr<PartitionedRollingPropagator> propagator_;
+  // Why the view runs one strip although more were requested (view not
   // partitionable); OK when partitioning was not requested or succeeded.
   Status partition_fallback_;
-  // Set when the view IS partitionable but the partitioned propagator
-  // could not be constructed (durable cursors from a different partition
-  // count that have not settled -- see PartitionedRollingPropagator::
-  // Create). Resuming those chains serially could double-propagate, so
-  // PropagateStep surfaces this as a permanent error instead of running.
+  // Set when the propagator could not be constructed: durable cursors from
+  // a different partition count that have not settled (see
+  // PartitionedRollingPropagator::Create). Resuming those chains could
+  // double- or under-propagate, so PropagateStep surfaces this as a
+  // permanent error instead of running.
   Status partition_error_;
   std::unique_ptr<Applier> applier_;
   std::unique_ptr<CheckpointManager> checkpointer_;  // propagate-driver only
@@ -393,16 +397,14 @@ class MaintenanceService {
   // stats_mu_ so registry callbacks can read them from any thread without
   // racing the hot structs.
   std::unique_ptr<obs::TraceJournal> journal_;
+  // Root-level checkpoint and scrub traces of the propagate driver.
   obs::StepTracer propagate_tracer_;
   obs::StepTracer apply_tracer_;
-  // One tracer per partition strip (parallel propagation only): a
-  // StepTracer is a single-threaded builder, so concurrent strips cannot
-  // share propagate_tracer_ (which keeps owning root-level checkpoint
-  // traces). All feed the shared, thread-safe journal.
+  // One tracer per partition strip: a StepTracer is a single-threaded
+  // builder, so concurrent strips cannot share one. All feed the shared,
+  // thread-safe journal.
   std::vector<std::unique_ptr<obs::StepTracer>> strip_tracers_;
   obs::MetricsRegistry* registry_ = nullptr;
-  // Aggregate-over-strips snapshot backing runner_stats() in parallel mode.
-  mutable RunnerStats parallel_runner_stats_;
   RunnerStats runner_mirror_;                // guarded by stats_mu_
   ComputeDeltaStats compute_delta_mirror_;   // guarded by stats_mu_
   RollingPropagator::Stats rolling_mirror_;  // guarded by stats_mu_
@@ -423,8 +425,8 @@ class MaintenanceService {
   // Freshness pipeline (null when Options::freshness is unset). The SLO is
   // observed only by the thread driving PropagateStep.
   obs::ViewFreshness* freshness_ch_ = nullptr;
-  // Start time of the running propagation step (or partitioned round), for
-  // the pickup stamp PublishHwm takes.
+  // Start time of the running propagation round, for the pickup stamp
+  // PublishHwm takes.
   std::atomic<uint64_t> strip_start_nanos_{0};
   std::unique_ptr<obs::FreshnessSlo> slo_;
 

@@ -93,12 +93,7 @@ PartitionedRollingPropagator::Create(ViewManager* views, View* view,
     out->strips_[p]->set_hwm_hook(
         [coord = out.get(), p](Csn local) { coord->FoldHwm(p, local); });
   }
-  if (options.pool != nullptr) {
-    out->pool_ = options.pool;
-  } else {
-    out->owned_pool_ = std::make_unique<WorkerPool>(count);
-    out->pool_ = out->owned_pool_.get();
-  }
+  out->pool_ = std::make_unique<WorkerPool>(count - 1);
   return out;
 }
 
@@ -140,7 +135,7 @@ Result<bool> PartitionedRollingPropagator::Step() {
   for (size_t p = 0; p < P; ++p) {
     // Surface the first failure; the round itself is a barrier, so every
     // strip has already finished (and, on failure, cancelled or retained
-    // its undo state exactly like the serial driver would).
+    // its undo state).
     ROLLVIEW_RETURN_NOT_OK(statuses[p]);
   }
   bool any = false;
@@ -174,21 +169,12 @@ Result<bool> PartitionedRollingPropagator::TryFinish() {
 }
 
 Status PartitionedRollingPropagator::RunUntil(Csn target) {
-  CsnFrontier* ready = views_->DeltaReadyFrontier();
-  while (high_water_mark() < target) {
-    const Csn seen = ready->value();
-    ROLLVIEW_ASSIGN_OR_RETURN(bool any, Step());
-    if (any) continue;
-    ROLLVIEW_ASSIGN_OR_RETURN(bool settled, TryFinish());
-    if (settled && high_water_mark() >= target) break;
-    if (views_->capture() != nullptr) {
-      ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
-          std::min(target, views_->db()->stable_csn())));
-    }
-    // Caught up with everything published: sleep until more is.
-    ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
-  }
-  return Status::OK();
+  return views_->StepUntil(
+      target, [this] { return high_water_mark(); },
+      [this](bool* advanced) -> Status {
+        ROLLVIEW_ASSIGN_OR_RETURN(*advanced, Step());
+        return *advanced ? Status::OK() : TryFinish().status();
+      });
 }
 
 Csn PartitionedRollingPropagator::high_water_mark() const {

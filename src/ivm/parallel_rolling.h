@@ -1,16 +1,19 @@
 // Copyright 2026 The rollview Authors.
 //
-// PartitionedRollingPropagator: hash-partitioned parallel rolling
-// propagation. The view's delta streams are split into P disjoint slices by
-// a join-equivalence-class key (ivm/partition.h); each slice gets its own
+// PartitionedRollingPropagator: rolling propagation (Figure 10) cut into P
+// hash-partitioned strips -- the one propagation driver of the maintenance
+// service. The view's delta streams are split into P disjoint slices by a
+// join-equivalence-class key (ivm/partition.h); each slice gets its own
 // RollingPropagator strip with private cursors, undo log, interval policies
-// and step-sequence chain, and the strips run concurrently on a worker
-// pool. Because two delta rows can join only when they agree on the join
-// key, a strip's forward and compensation queries over its slice produce
-// exactly the view rows whose key hashes to its partition -- the strips'
-// outputs tile the serial propagator's output, each strip's sub-interval
-// refresh is independently legal (Def. 4.2 applied per slice), and the
-// view-level high-water mark is the minimum over the strips' local marks.
+// and step-sequence chain, and every round runs the strips concurrently on
+// the calling thread plus a pool of P-1 workers. Because two delta rows can
+// join only when they agree on the join key, a strip's forward and
+// compensation queries over its slice produce exactly the view rows whose
+// key hashes to its partition -- the strips' outputs tile the unpartitioned
+// output, each strip's sub-interval refresh is independently legal (Def. 4.2
+// applied per slice), and the view-level high-water mark is the minimum
+// over the strips' local marks. P = 1 is the serial rolling propagator: one
+// unpartitioned strip at cursor slot 0, run inline on the calling thread.
 //
 // Durability: every strip logs kViewCursor records tagged with its
 // partition index and stamps its view-delta rows with (partition,
@@ -40,13 +43,9 @@ struct ParallelRollingOptions {
   // Per-strip propagation options; the partition slice field is filled in
   // per strip by Create.
   RollingOptions rolling;
-  // Number of partition strips. Must be >= 1; 1 degenerates to a serial
-  // propagator behind the same interface (still at partition slot 0 with
-  // count 1, i.e. bit-compatible with the single-driver WAL framing).
+  // Number of partition strips. Must be >= 1; 1 is the serial rolling
+  // propagator (one unpartitioned strip at cursor slot 0, any view shape).
   uint32_t partitions = 2;
-  // Optional shared worker pool; when null the coordinator owns a pool of
-  // `partitions` threads. A shared pool must outlive the coordinator.
-  WorkerPool* pool = nullptr;
 };
 
 class PartitionedRollingPropagator {
@@ -58,20 +57,20 @@ class PartitionedRollingPropagator {
   using PolicyFactory =
       std::function<std::vector<std::unique_ptr<IntervalPolicy>>()>;
 
-  // Fails with InvalidArgument when the view has no join-equivalence class
-  // covering every term (it cannot be hash-partitioned -- fall back to a
-  // serial propagator), or when durable cursors from a different partition
-  // count exist that have not settled to one uniform frontier
-  // (repartitioning is only legal from a settled state).
+  // Fails with InvalidArgument when partitions > 1 and the view has no
+  // join-equivalence class covering every term (it cannot be
+  // hash-partitioned -- use one partition), or when durable cursors from a
+  // different partition count exist that have not settled to one uniform
+  // frontier (repartitioning is only legal from a settled state; this
+  // guards a change to or from P = 1 too).
   static Result<std::unique_ptr<PartitionedRollingPropagator>> Create(
       ViewManager* views, View* view, const PolicyFactory& make_policies,
       ParallelRollingOptions options);
 
-  // One parallel round: every strip performs one Step() concurrently.
+  // One round: every strip performs one Step(), concurrently when P > 1.
   // Returns true if any strip advanced. On strip errors the round still
   // completes (the pool is a barrier) and the first error is returned;
-  // failed strips have already cancelled or retained their undo state
-  // exactly like the serial driver.
+  // failed strips have already cancelled or retained their undo state.
   Result<bool> Step();
 
   // Settles every strip's pending querylists (see
@@ -105,8 +104,9 @@ class PartitionedRollingPropagator {
 
   // Publishes each advance of the view-level minimum through `hook`
   // instead of View::delta_hwm directly (the maintenance service stamps
-  // freshness boundaries before it advances the mark). Runs on pool
-  // threads, concurrently. Set before stepping; null restores the default.
+  // freshness boundaries before it advances the mark). Runs on whichever
+  // thread ran the strip, concurrently when P > 1. Set before stepping;
+  // null restores the default.
   void set_hwm_hook(std::function<void(Csn)> hook) {
     hwm_hook_ = std::move(hook);
   }
@@ -121,7 +121,7 @@ class PartitionedRollingPropagator {
   PartitionedRollingPropagator() = default;
 
   // Strip p's hwm hook: fold `local` into slot p, advance the view to the
-  // new minimum over slots. Runs on pool threads.
+  // new minimum over slots. Runs on the thread that ran strip p.
   void FoldHwm(uint32_t p, Csn local);
 
   ViewManager* views_ = nullptr;
@@ -131,8 +131,8 @@ class PartitionedRollingPropagator {
   // under-approximates, and View::delta_hwm is itself monotone.
   std::unique_ptr<std::atomic<Csn>[]> hwm_slots_;
   std::function<void(Csn)> hwm_hook_;
-  WorkerPool* pool_ = nullptr;
-  std::unique_ptr<WorkerPool> owned_pool_;
+  // P-1 threads: RunAll's caller runs strips too.
+  std::unique_ptr<WorkerPool> pool_;
 };
 
 }  // namespace rollview

@@ -14,7 +14,7 @@
 // by the view's EquiJoins and picks a class with a member in every term.
 // Views without such a class (e.g. a star join, where dimensions share no
 // common key) cannot be partitioned this way and get an error -- callers
-// fall back to the serial driver.
+// fall back to one unpartitioned strip.
 
 #ifndef ROLLVIEW_IVM_PARTITION_H_
 #define ROLLVIEW_IVM_PARTITION_H_

@@ -40,17 +40,7 @@ void Propagator::PublishCursors(uint64_t completed_seq) {
   WalRecord rec = MakeViewCursorRecord(*view_, completed_seq, state);
   view_->StoreCursors(std::move(state));
   views_->db()->wal()->Append(std::move(rec));
-  if (hwm_hook_) {
-    hwm_hook_(t_cur_);
-  } else {
-    view_->delta_hwm.Advance(t_cur_);
-  }
-}
-
-void Propagator::set_tracer(obs::StepTracer* tracer) {
-  tracer_ = tracer;
-  runner_.set_tracer(tracer);
-  compute_delta_.set_tracer(tracer);
+  view_->delta_hwm.Advance(t_cur_);
 }
 
 Result<bool> Propagator::Step() {
@@ -75,13 +65,6 @@ Result<bool> Propagator::Step() {
   }
   if (t_next <= t_cur_) return false;
 
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->BeginStep(obs::SpanKind::kStep, view_->id, view_->name,
-                       step_seq_);
-    tracer_->Attr(1, "t_a", static_cast<int64_t>(t_cur_));
-    tracer_->Attr(1, "t_b", static_cast<int64_t>(t_next));
-  }
-
   // PropagateInterval commits one transaction per query in the interval's
   // delta expansion; if a later one fails the earlier commits must be
   // cancelled before the supervisor may retry the step, or the retry
@@ -94,38 +77,23 @@ Result<bool> Propagator::Step() {
   runner_.set_undo_log(nullptr);
   if (!s.ok()) {
     Status cancel = runner_.CancelFailedStep(&undo_log_);
-    Status out = cancel.ok() ? s : cancel;
-    if (tracer_ != nullptr) {
-      tracer_->EndStep(out.IsTransient() ? obs::StepOutcome::kTransientError
-                                         : obs::StepOutcome::kPermanentError,
-                       out.ToString());
-    }
-    return out;
+    return cancel.ok() ? s : cancel;
   }
   // Success: clear the log so the next Step's entry check does not cancel
   // (negate) this step's committed rows.
   undo_log_.Clear();
   t_cur_ = t_next;
   PublishCursors(seq);
-  if (tracer_ != nullptr) tracer_->EndStep(obs::StepOutcome::kOk);
   return true;
 }
 
 Status Propagator::RunUntil(Csn target) {
-  CsnFrontier* ready = views_->DeltaReadyFrontier();
-  while (t_cur_ < target) {
-    const Csn seen = ready->value();
-    ROLLVIEW_ASSIGN_OR_RETURN(bool advanced, Step());
-    if (!advanced) {
-      if (views_->capture() != nullptr) {
-        // Give capture a chance to publish more of the log.
-        ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
-            std::min(target, views_->db()->stable_csn())));
-      }
-      ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
-    }
-  }
-  return Status::OK();
+  return views_->StepUntil(
+      target, [this] { return t_cur_; },
+      [this](bool* advanced) -> Status {
+        ROLLVIEW_ASSIGN_OR_RETURN(*advanced, Step());
+        return Status::OK();
+      });
 }
 
 }  // namespace rollview

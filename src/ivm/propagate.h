@@ -9,7 +9,6 @@
 #ifndef ROLLVIEW_IVM_PROPAGATE_H_
 #define ROLLVIEW_IVM_PROPAGATE_H_
 
-#include <functional>
 #include <memory>
 
 #include "ivm/compute_delta.h"
@@ -44,17 +43,6 @@ class Propagator {
     return compute_delta_.stats();
   }
 
-  // Step tracing: each Step() that does work becomes one root span with
-  // the interval (t_a, t_b]; ComputeDelta's query tree nests under it. See
-  // RollingPropagator::set_tracer.
-  void set_tracer(obs::StepTracer* tracer);
-
-  // Publishes each hwm advance through `hook` instead of View::delta_hwm
-  // directly. See RollingPropagator::set_hwm_hook.
-  void set_hwm_hook(std::function<void(Csn)> hook) {
-    hwm_hook_ = std::move(hook);
-  }
-
  private:
   // Durable cursor publication after a completed step (uniform frontiers:
   // n copies of t_cur_). See RollingPropagator::PublishCursors.
@@ -68,8 +56,6 @@ class Propagator {
   StepUndoLog undo_log_;
   uint64_t step_seq_ = 1;
   Csn t_cur_;
-  obs::StepTracer* tracer_ = nullptr;
-  std::function<void(Csn)> hwm_hook_;
 };
 
 }  // namespace rollview

@@ -364,23 +364,12 @@ Result<bool> RollingPropagator::TryFinish() {
 }
 
 Status RollingPropagator::RunUntil(Csn target) {
-  CsnFrontier* ready = views_->DeltaReadyFrontier();
-  while (high_water_mark() < target) {
-    // Read before stepping, so delta published while the step runs ends
-    // the wait below at once.
-    const Csn seen = ready->value();
-    ROLLVIEW_ASSIGN_OR_RETURN(bool advanced, Step());
-    if (advanced) continue;
-    ROLLVIEW_ASSIGN_OR_RETURN(bool settled, TryFinish());
-    if (settled && high_water_mark() >= target) break;
-    if (views_->capture() != nullptr) {
-      ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
-          std::min(target, views_->db()->stable_csn())));
-    }
-    // Caught up with everything published: sleep until more is.
-    ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
-  }
-  return Status::OK();
+  return views_->StepUntil(
+      target, [this] { return high_water_mark(); },
+      [this](bool* advanced) -> Status {
+        ROLLVIEW_ASSIGN_OR_RETURN(*advanced, Step());
+        return *advanced ? Status::OK() : TryFinish().status();
+      });
 }
 
 }  // namespace rollview

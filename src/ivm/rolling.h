@@ -142,15 +142,13 @@ class RollingPropagator {
   // before stepping; null detaches.
   void set_tracer(obs::StepTracer* tracer);
 
-  // Partitioned propagation: diverts the view hwm advances this strip would
-  // make (after publishing cursors, and on TryFinish settles) into `hook`
-  // instead of View::delta_hwm. The coordinator folds each strip's local
-  // mark into a per-partition slot and advances the view to the minimum
-  // over slots -- one strip racing ahead must not publish a mark the
-  // laggard strips cannot yet justify. The maintenance service hooks the
-  // serial propagator too, to stamp freshness boundaries before the advance
-  // wakes the apply driver. Set before stepping; null restores the direct
-  // advance.
+  // Diverts the view hwm advances this strip would make (after publishing
+  // cursors, and on TryFinish settles) into `hook` instead of
+  // View::delta_hwm. The partitioned coordinator hooks every strip, even
+  // at P = 1: it folds each strip's local mark into a per-partition slot
+  // and advances the view to the minimum over slots -- one strip racing
+  // ahead must not publish a mark the laggard strips cannot yet justify.
+  // Set before stepping; null restores the direct advance.
   void set_hwm_hook(std::function<void(Csn)> hook) {
     hwm_hook_ = std::move(hook);
   }

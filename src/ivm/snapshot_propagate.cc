@@ -48,21 +48,12 @@ Result<bool> SnapshotPropagator::Step() {
 }
 
 Status SnapshotPropagator::RunUntil(Csn target) {
-  // The capture mark never passes the stable CSN, so the delta-ready
-  // frontier is the binding one to sleep on.
-  CsnFrontier* ready = views_->DeltaReadyFrontier();
-  while (t_cur_ < target) {
-    const Csn seen = ready->value();
-    ROLLVIEW_ASSIGN_OR_RETURN(bool advanced, Step());
-    if (!advanced) {
-      if (views_->capture() != nullptr) {
-        ROLLVIEW_RETURN_NOT_OK(views_->capture()->WaitForCsn(
-            std::min(target, views_->db()->stable_csn())));
-      }
-      ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
-    }
-  }
-  return Status::OK();
+  return views_->StepUntil(
+      target, [this] { return t_cur_; },
+      [this](bool* advanced) -> Status {
+        ROLLVIEW_ASSIGN_OR_RETURN(*advanced, Step());
+        return Status::OK();
+      });
 }
 
 }  // namespace rollview

@@ -64,6 +64,23 @@ View* ViewManager::Find(const std::string& name) const {
   return nullptr;
 }
 
+Status ViewManager::StepUntil(Csn target, const std::function<Csn()>& hwm,
+                              const std::function<Status(bool*)>& step) {
+  CsnFrontier* ready = DeltaReadyFrontier();
+  while (hwm() < target) {
+    const Csn seen = ready->value();
+    bool advanced = false;
+    ROLLVIEW_RETURN_NOT_OK(step(&advanced));
+    if (advanced || hwm() >= target) continue;
+    if (capture_ != nullptr) {
+      ROLLVIEW_RETURN_NOT_OK(
+          capture_->WaitForCsn(std::min(target, db_->stable_csn())));
+    }
+    ready->WaitPast(seen, CsnFrontier::Clock::now() + kPipelineHeartbeat);
+  }
+  return Status::OK();
+}
+
 Status ViewManager::Materialize(View* view) {
   const ResolvedView& rv = view->resolved;
   std::unique_ptr<Txn> txn = db_->Begin(TxnClass::kMaintenance);

@@ -9,6 +9,7 @@
 #ifndef ROLLVIEW_IVM_VIEW_MANAGER_H_
 #define ROLLVIEW_IVM_VIEW_MANAGER_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -110,6 +111,16 @@ class ViewManager {
   CsnFrontier* DeltaReadyFrontier() const {
     return capture_ != nullptr ? capture_->frontier() : db_->stable_frontier();
   }
+
+  // The one "propagate until" loop, behind every propagator's RunUntil and
+  // the synchronous MaintenanceService::Drain: runs `step` until `hwm()`
+  // reaches `target`. `step` performs one propagation step -- settling
+  // pending work itself when it finds nothing new -- and reports whether
+  // it advanced. An idle step lets capture publish the log up to `target`,
+  // then sleeps until the delta-ready frontier moves past the value read
+  // before the step, so delta published while the step ran is not missed.
+  Status StepUntil(Csn target, const std::function<Csn()>& hwm,
+                   const std::function<Status(bool*)>& step);
 
  private:
   Db* db_;

@@ -1,6 +1,7 @@
 #include "ra/expr.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace rollview {
 
@@ -62,21 +63,29 @@ Value EvalArith(Expr::ArithOp op, const Value& a, const Value& b) {
     return Value::Null();  // arithmetic is numeric-only
   }
   if (integral) {
+    // An int64 result that does not fit is NULL, like division by zero:
+    // signed overflow is UB, and INT64_MIN / -1 traps.
     int64_t x = a.AsInt64();
     int64_t y = b.AsInt64();
+    int64_t r = 0;
+    bool overflow = false;
     switch (op) {
       case Expr::ArithOp::kAdd:
-        return Value(x + y);
+        overflow = __builtin_add_overflow(x, y, &r);
+        break;
       case Expr::ArithOp::kSub:
-        return Value(x - y);
+        overflow = __builtin_sub_overflow(x, y, &r);
+        break;
       case Expr::ArithOp::kMul:
-        return Value(x * y);
+        overflow = __builtin_mul_overflow(x, y, &r);
+        break;
       case Expr::ArithOp::kDiv:
-        return y == 0 ? Value::Null() : Value(x / y);
       case Expr::ArithOp::kMod:
-        return y == 0 ? Value::Null() : Value(x % y);
+        if (y == 0 || (x == INT64_MIN && y == -1)) return Value::Null();
+        r = op == Expr::ArithOp::kDiv ? x / y : x % y;
+        break;
     }
-    return Value::Null();
+    return overflow ? Value::Null() : Value(r);
   }
   double x = a.NumericValue();
   double y = b.NumericValue();

@@ -108,9 +108,9 @@ TEST(FaultRecoveryTest, MaintenanceSurvivesInjectedFaultStorm) {
   EXPECT_GT(ps.backoff_nanos + as.backoff_nanos, 0u);
   // Injected aborts on propagation commits relative to committed queries:
   // the >= 5% fault-rate floor from the acceptance criterion.
-  const RunnerStats* rs = service.runner_stats();
+  const RunnerStats rs = service.runner_stats();
   EXPECT_GE(static_cast<double>(fs.injected_aborts),
-            0.05 * static_cast<double>(rs->queries));
+            0.05 * static_cast<double>(rs.queries));
 
   // Correctness after the storm: MV == oracle at the MV's CSN.
   DeltaRows oracle = OracleViewState(env.db(), view, view->mv->csn());

@@ -1,8 +1,9 @@
 // Tests of PartitionedRollingPropagator: partitioned strips preserve the
 // timed-delta invariant (Definition 4.2 per slice), the view-level
 // high-water mark is the minimum over the strips, non-partitionable views
-// are rejected (and MaintenanceService falls back to serial), and
-// repartitioning is legal exactly from a settled uniform frontier.
+// are rejected (and MaintenanceService runs them as one strip), and
+// repartitioning -- to or from one partition -- is legal exactly from a
+// settled uniform frontier.
 
 #include "ivm/parallel_rolling.h"
 
@@ -55,10 +56,9 @@ class ParallelRollingTest : public ::testing::Test {
   }
 
   Result<std::unique_ptr<PartitionedRollingPropagator>> Make(
-      uint32_t partitions, Csn interval = 5, WorkerPool* pool = nullptr) {
+      uint32_t partitions, Csn interval = 5) {
     ParallelRollingOptions options;
     options.partitions = partitions;
-    options.pool = pool;
     return PartitionedRollingPropagator::Create(
         env_.views(), view_, UniformPolicies(interval), std::move(options));
   }
@@ -121,16 +121,6 @@ TEST_F(ParallelRollingTest, InterleavedUpdatesAndParallelRounds) {
   }
   EXPECT_TRUE(CheckTimedDeltaSweep(env_.db(), view_, t0_, target,
                                    /*stride=*/6));
-}
-
-TEST_F(ParallelRollingTest, SharedPoolServesThePropagator) {
-  RunUpdates(10, 43);
-  Csn target = env_.capture()->high_water_mark();
-  WorkerPool pool(2);
-  ASSERT_OK_AND_ASSIGN(auto prop, Make(4, /*interval=*/5, &pool));
-  ASSERT_OK(prop->RunUntil(target));
-  EXPECT_TRUE(CheckTimedDeltaSweep(env_.db(), view_, t0_, target,
-                                   /*stride=*/5));
 }
 
 TEST_F(ParallelRollingTest, AggregateStatsSumOverStrips) {
@@ -257,7 +247,7 @@ TEST_F(PartitionedMaintenanceTest, BackgroundPartitionedDriversDrain) {
   opts.propagate_partitions = 4;
   MaintenanceService service(env_.views(), view_, opts);
   EXPECT_EQ(service.propagate_partitions(), 4u);
-  ASSERT_NE(service.parallel(), nullptr);
+  ASSERT_NE(service.propagator(), nullptr);
   EXPECT_OK(service.partition_fallback());
   service.Start();
   UpdateStream r_stream(env_.db(), workload_.RStream(1, 61), 61);
@@ -271,12 +261,12 @@ TEST_F(PartitionedMaintenanceTest, BackgroundPartitionedDriversDrain) {
   ASSERT_OK(service.Stop());
   EXPECT_GE(view_->mv->csn(), target);
   EXPECT_TRUE(MvMatchesOracle());
-  EXPECT_GT(service.runner_stats()->queries, 0u);
+  EXPECT_GT(service.runner_stats().queries, 0u);
   // Every partition slot published a mark, and the view's mark is their
   // minimum (never more).
   Csn min_slot = kMaxCsn;
   for (uint32_t p = 0; p < 4; ++p) {
-    min_slot = std::min(min_slot, service.parallel()->partition_hwm(p));
+    min_slot = std::min(min_slot, service.propagator()->partition_hwm(p));
   }
   EXPECT_GE(min_slot, target);
 }
@@ -312,9 +302,10 @@ TEST_F(PartitionedMaintenanceTest, NonPartitionableViewFallsBackToSerial) {
   MaintenanceService::Options opts;
   opts.propagate_partitions = 4;
   MaintenanceService service(env_.views(), sv, opts);
-  // Serial fallback, with the reason recorded.
+  // Serial (one-strip) fallback, with the reason recorded.
   EXPECT_EQ(service.propagate_partitions(), 1u);
-  EXPECT_EQ(service.parallel(), nullptr);
+  ASSERT_NE(service.propagator(), nullptr);
+  EXPECT_EQ(service.propagator()->partitions(), 1u);
   EXPECT_FALSE(service.partition_fallback().ok());
 
   UpdateStream fact_stream(env_.db(), star.FactStream(1, 65), 65);
@@ -323,6 +314,27 @@ TEST_F(PartitionedMaintenanceTest, NonPartitionableViewFallsBackToSerial) {
   ASSERT_OK(service.Drain(env_.db()->stable_csn()));
   DeltaRows oracle = OracleViewState(env_.db(), sv, sv->mv->csn());
   EXPECT_TRUE(NetEquivalent(oracle, sv->mv->AsDeltaRows()));
+}
+
+// Regression: a default (one-partition) service over durable cursors of an
+// unsettled two-partition run must refuse to propagate. Resuming only slot
+// 0's chain would publish a view-delta high-water mark that misses
+// partition 1's rows, and the apply would drive MV counts negative.
+TEST_F(PartitionedMaintenanceTest, OnePartitionServiceRefusesUnsettledResume) {
+  RunUpdates(10, 67);
+  {
+    ASSERT_OK_AND_ASSIGN(auto prop, Make(2, /*interval=*/3));
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_OK_AND_ASSIGN(bool advanced, prop->strip(0)->Step());
+      ASSERT_TRUE(advanced);
+    }
+  }
+  const Csn hwm_before = view_->high_water_mark();
+  MaintenanceService service(env_.views(), view_);
+  EXPECT_EQ(service.propagator(), nullptr);
+  Status s = service.Drain(env_.db()->stable_csn());
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(view_->high_water_mark(), hwm_before);
 }
 
 TEST_F(PartitionedMaintenanceTest, PartitionMetricsExported) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "ivm/rolling.h"
 #include "ra/expr.h"
 #include "tests/test_util.h"
@@ -53,6 +55,28 @@ TEST(ArithExprTest, NullAndErrorPropagation) {
   EXPECT_TRUE(div0->Eval(t).is_null());
   auto pred = Expr::Compare(C::kGt, div0, Expr::Literal(Value(int64_t{0})));
   EXPECT_FALSE(pred->EvalBool(t));
+}
+
+TEST(ArithExprTest, IntegerOverflowIsNull) {
+  // An int64 result that does not fit is NULL, like division by zero --
+  // never a wrapped value, undefined behaviour or a SIGFPE.
+  constexpr int64_t kMax = INT64_MAX;
+  constexpr int64_t kMin = INT64_MIN;
+  auto eval = [](A op, int64_t x, int64_t y) {
+    return Expr::Arith(op, Expr::Literal(Value(x)), Expr::Literal(Value(y)))
+        ->Eval(Tuple{});
+  };
+  EXPECT_TRUE(eval(A::kAdd, kMax, 1).is_null());
+  EXPECT_TRUE(eval(A::kSub, kMin, 1).is_null());
+  EXPECT_TRUE(eval(A::kMul, kMax, 2).is_null());
+  EXPECT_TRUE(eval(A::kDiv, kMin, -1).is_null());
+  EXPECT_TRUE(eval(A::kMod, kMin, -1).is_null());
+  // The boundaries themselves still compute.
+  EXPECT_EQ(eval(A::kAdd, kMax - 1, 1), Value(kMax));
+  EXPECT_EQ(eval(A::kSub, kMin + 1, 1), Value(kMin));
+  EXPECT_EQ(eval(A::kDiv, kMin, 1), Value(kMin));
+  EXPECT_EQ(eval(A::kMod, kMin, 1), Value(int64_t{0}));
+  EXPECT_EQ(eval(A::kDiv, kMax, -1), Value(-kMax));
 }
 
 TEST(ArithExprTest, ComposesWithComparisonsAndShift) {
