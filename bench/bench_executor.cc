@@ -1,44 +1,31 @@
-// E11/E15 -- executor hot-path cost: the interpreted executor vs compiled
-// delta programs.
+// E11 -- executor hot-path cost: per-propagation-query wall time and row
+// traffic of the join executor across the E2 interval sweep.
 //
-// The interpreted executor re-plans every propagation query: it splits the
-// residual into pushed-down term filters, then joins each base term either
-// by per-row index probes (the join column is hash-indexed) or by a hash
-// build. A compiled delta program (ra/delta_program.h) lowers each
-// per-relation query once at CreateView: the join of the other terms is a
-// materialized, pre-filtered half-join view, so a delta row costs one hash
-// probe plus flat predicate checks. This bench runs the E2 interval-tuning
-// workload through both and reports per-query wall time and row traffic.
+// Every propagation query runs on JoinExecutor: it splits the residual into
+// pushed-down term filters, then joins each base term either by per-row
+// index probes (the join column is hash-indexed) or by a hash build. This
+// bench runs the E2 interval-tuning workload through it and reports
+// per-query wall time and row traffic at each interval.
 //
 // The measured view is sigma(R |><| S) with range cuts on the payload
 // columns: 1/8-selective on R's rval and 1/1024-selective on S's sval
 // (rval/sval are uniform 63-bit values, so the cuts are exact). The
-// interpreted path probes the join index and re-filters every match,
-// discarding 1023/1024 of the fetched S rows; the compiled path probes a
-// half-join view that holds only admitted rows.
+// executor probes the join index and re-filters every match, discarding
+// 1023/1024 of the fetched S rows -- the executor's worst case for a
+// selective residual.
 //
-// Two arms per sweep point, each on its own engine loaded with the same
-// seeded workload and history:
-//   interpreted  DbOptions::compile_delta_programs = false
-//   compiled     the default: compiled forward + compensation programs
-//
-// Each sweep point runs kReps interleaved repetitions, alternating which
-// arm goes first; JSON rows carry the median, min and max of the wall-time
-// fields and the (deterministic, asserted identical) counters.
+// Each sweep point runs kReps repetitions, interleaved across the points in
+// alternating order; JSON rows carry the median, min and max of the
+// wall-time fields and the (deterministic, asserted identical) counters.
 //
 // Modes:
-//   bench_executor                      full sweep, writes BENCH_executor.json;
-//                                       asserts the compiled arm >= 2x the
-//                                       interpreted arm (medians) at the
-//                                       smallest interval
+//   bench_executor                      full sweep, writes BENCH_executor.json
 //   bench_executor --smoke [baseline]   one sweep point; when a committed
 //                                       BENCH_executor.json path is given,
 //                                       exits nonzero if deterministic
-//                                       counters drift from it or the
-//                                       compiled speedup floor is missed
-//                                       (the perf-smoke ctest label).
+//                                       counters drift from it (the
+//                                       perf-smoke ctest label).
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -58,8 +45,8 @@ namespace {
 // rval/sval are MixKey outputs, uniform over [0, 2^63), so a range cut has
 // exact selectivity: admit 1/8 of R rows and 1/1024 of S rows. The asymmetry
 // is deliberate -- delta-driven probes into S fetch `fanout` matches per
-// driving row and the S cut then discards 1023/1024 of them, which is the work
-// a pre-filtered half-join view eliminates. Concatenated-tuple layout is
+// driving row and the S cut then discards 1023/1024 of them. Concatenated-
+// tuple layout is
 // R(rkey,jkey,rval) then S(skey,jkey,sval): rval is column 2, sval column 5.
 constexpr int64_t kRCut = int64_t{1} << 60;  // 2^63 / 8
 constexpr int64_t kSCut = int64_t{1} << 53;  // 2^63 / 1024
@@ -75,7 +62,6 @@ SpjViewDef SelectiveViewDef(const TwoTableWorkload& workload) {
 }
 
 struct PointResult {
-  std::string arm;  // "interpreted" | "compiled"
   Csn interval = 0;
   // Every counter below is read back out of the registry snapshot -- the
   // one serializer path shared by all benches -- not from bespoke stats
@@ -91,64 +77,56 @@ struct PointResult {
   uint64_t rows_out = 0;
   uint64_t rows_copied = 0;
   uint64_t rows_borrowed = 0;
-  uint64_t compiled_queries = 0;
-  uint64_t hj_hits = 0;
-  uint64_t hj_misses = 0;
 };
 
-// One arm: its own engine, loaded with the shared seeded workload and
-// update history, so both arms propagate the identical commit sequence.
-struct Arm {
-  const char* name = "";
+// The engine, loaded with the seeded workload and update history that every
+// sweep point propagates.
+struct Loaded {
   std::unique_ptr<Env> env;
   TwoTableWorkload workload;
   Csn t0 = kNullCsn;
   Csn t_end = kNullCsn;
 };
 
-Arm MakeArm(const char* name, bool compiled) {
-  DbOptions options;
-  options.compile_delta_programs = compiled;
-  Arm arm;
-  arm.name = name;
-  arm.env = std::make_unique<Env>(options);
+Loaded Load() {
+  Loaded l;
+  l.env = std::make_unique<Env>();
   // join_domain 16 gives each delta row ~500 S matches (8000/16) to probe
   // and discard against the 1/1024 cut; the R-heavy update mix (s_every 8)
   // keeps the compensation queries' suffix scans from flooding the
   // comparison.
-  arm.workload = ValueOrDie(
-      TwoTableWorkload::Create(&arm.env->db, /*r_rows=*/10000,
+  l.workload = ValueOrDie(
+      TwoTableWorkload::Create(&l.env->db, /*r_rows=*/10000,
                                /*s_rows=*/8000, /*join_domain=*/16,
                                /*seed=*/3),
       "create workload");
-  arm.env->capture.CatchUp();
+  l.env->capture.CatchUp();
   View* base_view = ValueOrDie(
-      arm.env->views.CreateView("V0", SelectiveViewDef(arm.workload)), "view");
-  CheckOk(arm.env->views.Materialize(base_view), "materialize");
-  arm.t0 = base_view->propagate_from.load();
-  RunTwoTableHistory(arm.env.get(), arm.workload, /*txns=*/2000, /*seed=*/17,
+      l.env->views.CreateView("V0", SelectiveViewDef(l.workload)), "view");
+  CheckOk(l.env->views.Materialize(base_view), "materialize");
+  l.t0 = base_view->propagate_from.load();
+  RunTwoTableHistory(l.env.get(), l.workload, /*txns=*/2000, /*seed=*/17,
                      /*s_every=*/8);
-  arm.t_end = arm.env->capture.high_water_mark();
-  return arm;
+  l.t_end = l.env->capture.high_water_mark();
+  return l;
 }
 
-PointResult RunPoint(Arm* arm, Csn interval, int point_id) {
+PointResult RunPoint(Loaded* l, Csn interval, int point_id) {
   View* view = ValueOrDie(
-      arm->env->views.CreateView("V_e11_" + std::to_string(point_id),
-                                 SelectiveViewDef(arm->workload)),
+      l->env->views.CreateView("V_e11_" + std::to_string(point_id),
+                               SelectiveViewDef(l->workload)),
       "view");
-  view->propagate_from.store(arm->t0);
-  view->delta_hwm.Reset(arm->t0);
+  view->propagate_from.store(l->t0);
+  view->delta_hwm.Reset(l->t0);
 
-  Propagator prop(&arm->env->views, view,
+  Propagator prop(&l->env->views, view,
                   std::make_unique<FixedInterval>(interval));
   Stopwatch total;
-  while (prop.high_water_mark() < arm->t_end) {
+  while (prop.high_water_mark() < l->t_end) {
     if (!ValueOrDie(prop.Step(), "step")) break;
   }
 
   PointResult res;
-  res.arm = arm->name;
   res.interval = interval;
   res.total_ms = total.ElapsedMillis();
   res.view_name = view->name;
@@ -189,35 +167,12 @@ PointResult RunPoint(Arm* arm, Csn interval, int point_id) {
           : static_cast<double>(
                 snap.CounterValue("rollview_exec_nanos_total", v)) /
                 1e3 / static_cast<double>(res.queries);
-  res.compiled_queries =
-      snap.CounterValue("rollview_compiled_queries_total", v);
-  res.hj_hits = snap.CounterValue("rollview_half_join_probes_total",
-                                  with({{"outcome", "hit"}}));
-  res.hj_misses = snap.CounterValue("rollview_half_join_probes_total",
-                                    with({{"outcome", "miss"}}));
   return res;
 }
 
-// Median, min and max of one wall-time field over an arm's repetitions.
-struct Spread {
-  double median = 0;
-  double min = 0;
-  double max = 0;
-};
-
-Spread SpreadOf(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  Spread s;
-  s.median = n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
-  s.min = v.front();
-  s.max = v.back();
-  return s;
-}
-
-// One arm at one sweep point: the first repetition's counters (asserted
-// identical across repetitions) plus every repetition's wall times.
-struct ArmPoint {
+// One sweep point: the first repetition's counters (asserted identical
+// across repetitions) plus every repetition's wall times.
+struct Point {
   PointResult first;
   std::vector<double> total_ms;
   std::vector<double> mean_q_us;
@@ -226,9 +181,8 @@ struct ArmPoint {
 
 // Minimal reader for the committed BENCH_executor.json (JsonReport writes
 // one flat row object per line): returns the raw value text for `key` in
-// the first row whose arm/interval match, or "" if absent.
+// the first row whose interval matches, or "" if absent.
 struct BaselineRow {
-  std::string arm;
   uint64_t interval = 0;
   std::vector<std::pair<std::string, std::string>> fields;
 
@@ -272,7 +226,6 @@ std::vector<BaselineRow> LoadBaseline(const std::string& path) {
       pos = vend;
     }
     if (!row.fields.empty()) {
-      row.arm = row.Get("arm");
       row.interval = std::strtoull(row.Get("interval").c_str(), nullptr, 10);
       rows.push_back(std::move(row));
     }
@@ -284,15 +237,14 @@ bool CheckAgainstBaseline(const std::vector<BaselineRow>& baseline,
                           const PointResult& res) {
   const BaselineRow* match = nullptr;
   for (const BaselineRow& row : baseline) {
-    if (row.arm == res.arm && row.interval == res.interval) {
+    if (row.interval == res.interval) {
       match = &row;
       break;
     }
   }
   if (match == nullptr) {
     std::fprintf(stderr,
-                 "SMOKE FAIL: no baseline row for arm=%s interval=%llu\n",
-                 res.arm.c_str(),
+                 "SMOKE FAIL: no baseline row for interval=%llu\n",
                  static_cast<unsigned long long>(res.interval));
     return false;
   }
@@ -302,9 +254,8 @@ bool CheckAgainstBaseline(const std::vector<BaselineRow>& baseline,
     if (want.empty()) return;  // baseline predates the counter; skip
     if (std::strtoull(want.c_str(), nullptr, 10) != got) {
       std::fprintf(stderr,
-                   "SMOKE FAIL: arm=%s interval=%llu %s drifted: baseline %s,"
+                   "SMOKE FAIL: interval=%llu %s drifted: baseline %s,"
                    " got %llu\n",
-                   res.arm.c_str(),
                    static_cast<unsigned long long>(res.interval), key,
                    want.c_str(), static_cast<unsigned long long>(got));
       ok = false;
@@ -318,9 +269,6 @@ bool CheckAgainstBaseline(const std::vector<BaselineRow>& baseline,
   expect_int("rows_out", res.rows_out);
   expect_int("rows_copied", res.rows_copied);
   expect_int("rows_borrowed", res.rows_borrowed);
-  expect_int("compiled_queries", res.compiled_queries);
-  expect_int("hj_hits", res.hj_hits);
-  expect_int("hj_misses", res.hj_misses);
   return ok;
 }
 
@@ -337,172 +285,98 @@ int Main(int argc, char** argv) {
     }
   }
 
-  Banner("E11/E15: bench_executor",
-         "Per-propagation-query cost, interpreted executor vs compiled delta "
-         "programs, E2 workload.");
+  Banner("E11: bench_executor",
+         "Per-propagation-query cost of the join executor across the E2 "
+         "interval sweep.");
 
-  constexpr int kNumArms = 2;
-  Arm arms[kNumArms] = {MakeArm("interpreted", /*compiled=*/false),
-                        MakeArm("compiled", /*compiled=*/true)};
-  const Arm& ref = arms[0];
-  for (const Arm& arm : arms) {
-    if (arm.t0 != ref.t0 || arm.t_end != ref.t_end) {
-      std::fprintf(stderr, "FAIL: arm engines diverged while loading\n");
-      return 1;
-    }
-  }
+  Loaded loaded = Load();
   std::printf("history: %llu commits, %zu R-delta rows, %zu S-delta rows\n\n",
-              static_cast<unsigned long long>(ref.t_end - ref.t0),
-              ref.env->db.delta(ref.workload.r)->size(),
-              ref.env->db.delta(ref.workload.s)->size());
+              static_cast<unsigned long long>(loaded.t_end - loaded.t0),
+              loaded.env->db.delta(loaded.workload.r)->size(),
+              loaded.env->db.delta(loaded.workload.s)->size());
 
   std::vector<Csn> intervals =
       smoke ? std::vector<Csn>{Csn(64)}
-            : std::vector<Csn>{Csn(4), Csn(64), ref.t_end - ref.t0};
+            : std::vector<Csn>{Csn(4), Csn(64), loaded.t_end - loaded.t0};
 
-  TablePrinter table({"arm", "interval", "queries", "mean_q_us", "min_q_us",
-                      "max_q_us", "exec_q_us", "rows_cp", "rows_bw",
-                      "compiled_q", "hj_hits", "total_ms"});
-  table.PrintHeader();
-
-  JsonReport report("executor");
-  std::vector<PointResult> results;
-  bool ok = true;
-  int point_id = 0;
+  // Repetitions interleave across the sweep points, alternating their
+  // order, so host drift (thermal, other tenants) spreads over every point
+  // instead of biasing the ones that run later. Counters are deterministic
+  // and asserted identical across repetitions.
   constexpr int kReps = 5;
-  for (size_t ii = 0; ii < intervals.size(); ++ii) {
-    const Csn interval = intervals[ii];
-    // Interleaved repetitions, alternating which arm goes first, so host
-    // drift (thermal, other tenants) spreads over both arms instead of
-    // biasing the one that always runs later. Counters are deterministic
-    // and asserted identical across repetitions.
-    ArmPoint points[kNumArms];
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (int pos = 0; pos < kNumArms; ++pos) {
-        const int a = (pos + rep) % kNumArms;
-        PointResult res = RunPoint(&arms[a], interval, point_id++);
-        ArmPoint& pt = points[a];
-        pt.total_ms.push_back(res.total_ms);
-        pt.mean_q_us.push_back(res.mean_q_us);
-        pt.exec_q_us.push_back(res.exec_q_us);
-        if (rep == 0) {
-          pt.first = std::move(res);
-          continue;
-        }
-        if (res.queries != pt.first.queries ||
-            res.rows_out != pt.first.rows_out ||
-            res.rows_copied != pt.first.rows_copied ||
-            res.compiled_queries != pt.first.compiled_queries ||
-            res.hj_hits != pt.first.hj_hits) {
-          std::fprintf(stderr, "FAIL: nondeterministic counters across reps "
-                               "(arm=%s interval=%llu)\n",
-                       res.arm.c_str(),
-                       static_cast<unsigned long long>(res.interval));
-          return 1;
-        }
+  const size_t n = intervals.size();
+  std::vector<Point> points(n);
+  int point_id = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t pos = 0; pos < n; ++pos) {
+      const size_t ii = rep % 2 == 0 ? pos : n - 1 - pos;
+      PointResult res = RunPoint(&loaded, intervals[ii], point_id++);
+      Point& pt = points[ii];
+      pt.total_ms.push_back(res.total_ms);
+      pt.mean_q_us.push_back(res.mean_q_us);
+      pt.exec_q_us.push_back(res.exec_q_us);
+      if (rep == 0) {
+        pt.first = std::move(res);
+        continue;
+      }
+      if (res.queries != pt.first.queries ||
+          res.rows_out != pt.first.rows_out ||
+          res.rows_copied != pt.first.rows_copied) {
+        std::fprintf(stderr, "FAIL: nondeterministic counters across reps "
+                             "(interval=%llu)\n",
+                     static_cast<unsigned long long>(res.interval));
+        return 1;
       }
     }
-    Spread mean_q[kNumArms];
-    for (int a = 0; a < kNumArms; ++a) {
-      const ArmPoint& pt = points[a];
-      const PointResult& res = pt.first;
-      const Spread total = SpreadOf(pt.total_ms);
-      const Spread exec_q = SpreadOf(pt.exec_q_us);
-      mean_q[a] = SpreadOf(pt.mean_q_us);
-      table.PrintRow({res.arm, FmtInt(res.interval), FmtInt(res.queries),
-                      Fmt(mean_q[a].median, 1), Fmt(mean_q[a].min, 1),
-                      Fmt(mean_q[a].max, 1), Fmt(exec_q.median, 1),
-                      FmtInt(res.rows_copied), FmtInt(res.rows_borrowed),
-                      FmtInt(res.compiled_queries), FmtInt(res.hj_hits),
-                      Fmt(total.median)});
-      report.BeginRow();
-      RegistryRowEmitter emit(&report, &res.snapshot);
-      const obs::Labels v{{"view", res.view_name}};
-      emit.Str("arm", res.arm);
-      emit.Int("interval", res.interval);
-      emit.Int("reps", kReps);
-      emit.CounterSum("queries", "rollview_queries_total",
-                      {{{"view", res.view_name}, {"kind", "forward"}},
-                       {{"view", res.view_name}, {"kind", "compensation"}}});
-      emit.Num("total_ms", total.median);
-      emit.Num("total_ms_min", total.min);
-      emit.Num("total_ms_max", total.max);
-      emit.Num("mean_q_us", mean_q[a].median, 1);
-      emit.Num("mean_q_us_min", mean_q[a].min, 1);
-      emit.Num("mean_q_us_max", mean_q[a].max, 1);
-      emit.Num("exec_q_us", exec_q.median, 1);
-      emit.Num("exec_q_us_min", exec_q.min, 1);
-      emit.Num("exec_q_us_max", exec_q.max, 1);
-      emit.Counter("rows_in", "rollview_exec_rows_total",
-                   {{"view", res.view_name}, {"dir", "in"}});
-      emit.Counter("rows_out", "rollview_view_delta_rows_total", v);
-      emit.Counter("rows_copied", "rollview_exec_rows_moved_total",
-                   {{"view", res.view_name}, {"path", "copied"}});
-      emit.Counter("rows_borrowed", "rollview_exec_rows_moved_total",
-                   {{"view", res.view_name}, {"path", "borrowed"}});
-      emit.Counter("bytes_copied", "rollview_exec_bytes_moved_total",
-                   {{"view", res.view_name}, {"path", "copied"}});
-      emit.Counter("bytes_borrowed", "rollview_exec_bytes_moved_total",
-                   {{"view", res.view_name}, {"path", "borrowed"}});
-      emit.Counter("compiled_queries", "rollview_compiled_queries_total", v);
-      emit.Counter("compiled_probe_rows", "rollview_compiled_probe_rows_total",
-                   v);
-      emit.Counter("compiled_kernel_evals",
-                   "rollview_compiled_kernel_evals_total", v);
-      emit.Counter("hj_hits", "rollview_half_join_probes_total",
-                   {{"view", res.view_name}, {"outcome", "hit"}});
-      emit.Counter("hj_misses", "rollview_half_join_probes_total",
-                   {{"view", res.view_name}, {"outcome", "miss"}});
-      emit.Counter("hj_advances", "rollview_half_join_maintenance_total",
-                   {{"view", res.view_name}, {"kind", "advance"}});
-      emit.Counter("hj_rebuilds", "rollview_half_join_maintenance_total",
-                   {{"view", res.view_name}, {"kind", "rebuild"}});
-      results.push_back(res);
-    }
+  }
 
-    const PointResult& interp = points[0].first;
-    const PointResult& compiled = points[1].first;
-    const double speedup = mean_q[1].median > 0
-                               ? mean_q[0].median / mean_q[1].median
-                               : 0;
-    std::printf("interval %-6llu per-query speedup (compiled vs interpreted, "
-                "medians of %d): %.2fx  (%.1fus -> %.1fus)\n",
-                static_cast<unsigned long long>(interval), kReps, speedup,
-                mean_q[0].median, mean_q[1].median);
-    if (interp.rows_out != compiled.rows_out) {
-      std::fprintf(stderr, "FAIL: arms disagree (rows_out %llu / %llu)\n",
-                   static_cast<unsigned long long>(interp.rows_out),
-                   static_cast<unsigned long long>(compiled.rows_out));
-      ok = false;
-    }
-    if (compiled.compiled_queries == 0 || interp.compiled_queries != 0) {
-      std::fprintf(stderr,
-                   "FAIL: compiled_queries %llu (interpreted) / %llu "
-                   "(compiled): the arms did not take their paths\n",
-                   static_cast<unsigned long long>(interp.compiled_queries),
-                   static_cast<unsigned long long>(compiled.compiled_queries));
-      ok = false;
-    }
-    if (smoke && speedup < 1.3) {
-      // Wide floor for CI noise; the committed full-sweep baseline is where
-      // the headline >= 2x number lives.
-      std::fprintf(stderr,
-                   "SMOKE FAIL: compiled speedup %.2fx below 1.3x floor\n",
-                   speedup);
-      ok = false;
-    }
-    if (!smoke && ii == 0 && speedup < 2.0) {
-      // The headline acceptance number: compiled >= 2x interpreted at the
-      // smallest interval, where per-query fixed costs dominate.
-      std::fprintf(stderr,
-                   "FAIL: compiled speedup %.2fx below 2.0x at the smallest "
-                   "interval\n",
-                   speedup);
-      ok = false;
-    }
+  TablePrinter table({"interval", "queries", "mean_q_us", "min_q_us",
+                      "max_q_us", "exec_q_us", "rows_cp", "rows_bw",
+                      "total_ms"});
+  table.PrintHeader();
+  JsonReport report("executor");
+  for (const Point& pt : points) {
+    const PointResult& res = pt.first;
+    const Spread total = SpreadOf(pt.total_ms);
+    const Spread mean_q = SpreadOf(pt.mean_q_us);
+    const Spread exec_q = SpreadOf(pt.exec_q_us);
+    table.PrintRow({FmtInt(res.interval), FmtInt(res.queries),
+                    Fmt(mean_q.median, 1), Fmt(mean_q.min, 1),
+                    Fmt(mean_q.max, 1), Fmt(exec_q.median, 1),
+                    FmtInt(res.rows_copied), FmtInt(res.rows_borrowed),
+                    Fmt(total.median)});
+    report.BeginRow();
+    RegistryRowEmitter emit(&report, &res.snapshot);
+    const obs::Labels v{{"view", res.view_name}};
+    emit.Int("interval", res.interval);
+    emit.Int("reps", kReps);
+    emit.CounterSum("queries", "rollview_queries_total",
+                    {{{"view", res.view_name}, {"kind", "forward"}},
+                     {{"view", res.view_name}, {"kind", "compensation"}}});
+    emit.Num("total_ms", total.median);
+    emit.Num("total_ms_min", total.min);
+    emit.Num("total_ms_max", total.max);
+    emit.Num("mean_q_us", mean_q.median, 1);
+    emit.Num("mean_q_us_min", mean_q.min, 1);
+    emit.Num("mean_q_us_max", mean_q.max, 1);
+    emit.Num("exec_q_us", exec_q.median, 1);
+    emit.Num("exec_q_us_min", exec_q.min, 1);
+    emit.Num("exec_q_us_max", exec_q.max, 1);
+    emit.Counter("rows_in", "rollview_exec_rows_total",
+                 {{"view", res.view_name}, {"dir", "in"}});
+    emit.Counter("rows_out", "rollview_view_delta_rows_total", v);
+    emit.Counter("rows_copied", "rollview_exec_rows_moved_total",
+                 {{"view", res.view_name}, {"path", "copied"}});
+    emit.Counter("rows_borrowed", "rollview_exec_rows_moved_total",
+                 {{"view", res.view_name}, {"path", "borrowed"}});
+    emit.Counter("bytes_copied", "rollview_exec_bytes_moved_total",
+                 {{"view", res.view_name}, {"path", "copied"}});
+    emit.Counter("bytes_borrowed", "rollview_exec_bytes_moved_total",
+                 {{"view", res.view_name}, {"path", "borrowed"}});
   }
   std::printf("\n");
 
+  bool ok = true;
   if (smoke && !baseline_path.empty()) {
     std::vector<BaselineRow> baseline = LoadBaseline(baseline_path);
     if (baseline.empty()) {
@@ -510,8 +384,8 @@ int Main(int argc, char** argv) {
                    baseline_path.c_str());
       ok = false;
     } else {
-      for (const PointResult& res : results) {
-        if (!CheckAgainstBaseline(baseline, res)) ok = false;
+      for (const Point& pt : points) {
+        if (!CheckAgainstBaseline(baseline, pt.first)) ok = false;
       }
       if (ok) std::printf("smoke: counters match %s\n", baseline_path.c_str());
     }

@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace rollview {
@@ -58,6 +59,16 @@ std::string Fmt(double v, int precision) {
 }
 
 std::string FmtInt(uint64_t v) { return std::to_string(v); }
+
+Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  Spread s;
+  s.median = n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  s.min = v.front();
+  s.max = v.back();
+  return s;
+}
 
 JsonReport::JsonReport(std::string name) : name_(std::move(name)) {}
 

@@ -79,6 +79,15 @@ class TablePrinter {
 std::string Fmt(double v, int precision = 2);
 std::string FmtInt(uint64_t v);
 
+// Median, min and max of one wall-time field over a point's repetitions
+// (`v` must be non-empty).
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+Spread SpreadOf(std::vector<double> v);
+
 // Prints the standard experiment banner.
 void Banner(const char* experiment_id, const char* claim);
 

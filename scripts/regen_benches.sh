@@ -9,12 +9,11 @@
 # baselines are regenerated; without, all of them.
 #
 # The perf-smoke ctest label (bench_executor_smoke) compares deterministic
-# counters against the committed BENCH_executor.json and enforces a wide
-# wall-clock floor on the median compiled-vs-interpreted speedup, so rerun
-# this script -- on a quiet machine -- whenever an intentional change
+# counters (queries, row traffic) against the committed BENCH_executor.json,
+# so rerun this script -- on a quiet machine, since the committed wall
+# times are medians of one run's reps -- whenever an intentional change
 # shifts those counters, then commit the refreshed JSON together with the
-# change. The full (non-smoke) bench_executor additionally asserts the
-# compiled arm's >= 2x speedup at E11's smallest interval.
+# change.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

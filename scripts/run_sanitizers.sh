@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
 # Drive the sanitizer presets over the robustness-critical ctest labels:
 #
-#   tsan   -> scrub + concurrency + parallel + compiled + durability + obs
+#   tsan   -> scrub + concurrency + parallel + durability + obs
 #             (races in scrub-vs-apply locking, scrape-vs-drop teardown,
-#             partition strip barriers, half-join probe-vs-advance
-#             latching, group-commit flusher vs committers vs fault storms,
-#             freshness stamping across committer/flusher/strip/apply
-#             threads, trace ring under concurrent writers and scrapes)
-#   asan   -> scrub + recovery + compiled + durability + obs   (WAL replay,
-#             checkpoint decode, repair escalation, half-join rebuild
-#             memory safety, segment scan over torn/corrupt files,
-#             borrowed-instrument registration/drop lifetimes)
-#   ubsan  -> scrub + recovery + parallel + compiled + durability
+#             partition strip barriers, group-commit flusher vs committers
+#             vs fault storms, freshness stamping across committer/flusher/
+#             strip/apply threads, trace ring under concurrent writers and
+#             scrapes)
+#   asan   -> scrub + recovery + durability + obs   (WAL replay,
+#             checkpoint decode, repair escalation, segment scan over
+#             torn/corrupt files, borrowed-instrument registration/drop
+#             lifetimes)
+#   ubsan  -> scrub + recovery + parallel + durability
 #             (digest mixing arithmetic, cursor folding, partition math,
-#             flat-kernel address arithmetic, CRC/LSN framing arithmetic)
+#             CRC/LSN framing arithmetic)
 #
 #   scripts/run_sanitizers.sh [tsan|asan|ubsan]...
 #
@@ -33,9 +33,9 @@ fi
 
 labels_for() {
   case "$1" in
-    tsan)  echo "scrub|concurrency|parallel|compiled|durability|obs" ;;
-    asan)  echo "scrub|recovery|compiled|durability|obs" ;;
-    ubsan) echo "scrub|recovery|parallel|compiled|durability" ;;
+    tsan)  echo "scrub|concurrency|parallel|durability|obs" ;;
+    asan)  echo "scrub|recovery|durability|obs" ;;
+    ubsan) echo "scrub|recovery|parallel|durability" ;;
     *)
       echo "unknown sanitizer '$1' (expected tsan, asan or ubsan)" >&2
       return 1

@@ -159,7 +159,6 @@ size_t DeltaTable::Prune(Csn up_to) {
   // latches, so a pin we cannot see here belongs to a reader that has not
   // collected its refs yet and will see the post-prune store.
   if (pins_.load(std::memory_order_acquire) > 0) return 0;
-  pruned_through_ = std::max(pruned_through_, up_to);
   size_t before = rows_.size();
   if (ts_sorted_) {
     size_t keep_from = LowerBound(up_to);
@@ -179,17 +178,9 @@ size_t DeltaTable::Clear() {
   assert(pins_.load(std::memory_order_acquire) == 0 &&
          "Clear with live Pins would dangle borrowed rows");
   size_t before = rows_.size();
-  // Everything through max_ts_ is gone; historical-window consumers must
-  // not trust scans below it after a Clear.
-  pruned_through_ = std::max(pruned_through_, max_ts_);
   rows_.clear();
   max_ts_ = kNullCsn;
   return before;
-}
-
-Csn DeltaTable::pruned_through() const {
-  std::shared_lock<std::shared_mutex> lk(latch_);
-  return pruned_through_;
 }
 
 }  // namespace rollview

@@ -127,13 +127,6 @@ class DeltaTable {
 
   size_t size() const;
   Csn max_ts() const;
-  // Highest `up_to` an effective Prune/Clear has reclaimed through: rows
-  // with ts <= pruned_through() may be gone, so a range scan with
-  // lo < pruned_through() can be incomplete. Consumers that telescope over
-  // historical windows (half-join advances) check this before trusting a
-  // Scan and fall back to snapshot rebuilds otherwise.
-  Csn pruned_through() const;
-
   // Drops rows with ts <= up_to (e.g. base-delta pruning below the view's
   // materialization time, or view-delta pruning below the applied time).
   // Returns the number of rows dropped. A no-op (returns 0) while any Pin
@@ -161,7 +154,6 @@ class DeltaTable {
   std::deque<DeltaRow> rows_;
   mutable std::atomic<int> pins_{0};
   Csn max_ts_ = kNullCsn;
-  Csn pruned_through_ = kNullCsn;  // guarded by latch_
 };
 
 }  // namespace rollview

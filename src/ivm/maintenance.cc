@@ -783,47 +783,6 @@ void MaintenanceService::RegisterMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterCounterFn(
       "rollview_exec_nanos_total", lv,
       [runner] { return runner().exec.exec_nanos; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_compiled_queries_total", lv,
-      [runner] { return runner().exec.compiled_queries; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_compiled_probe_rows_total", lv,
-      [runner] { return runner().exec.compiled_probe_rows; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_compiled_kernel_evals_total", lv,
-      [runner] { return runner().exec.compiled_kernel_evals; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_probes_total", {{"view", v}, {"outcome", "hit"}},
-      [runner] { return runner().exec.half_join_hits; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_probes_total", {{"view", v}, {"outcome", "miss"}},
-      [runner] { return runner().exec.half_join_misses; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_maintenance_total",
-      {{"view", v}, {"kind", "advance"}},
-      [runner] { return runner().exec.half_join_advances; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_maintenance_total",
-      {{"view", v}, {"kind", "rebuild"}},
-      [runner] { return runner().exec.half_join_rebuilds; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_advance_rows_total", lv,
-      [runner] { return runner().exec.half_join_advance_rows; }, owner);
-  if (view_->programs != nullptr) {
-    // Half-join residency gauges read the views' atomics directly -- safe
-    // to scrape live, unlike the unsynchronized stats mirrors above.
-    ViewPrograms* programs = view_->programs.get();
-    registry->RegisterGaugeFn(
-        "rollview_half_join_rows", lv,
-        [programs] { return static_cast<int64_t>(programs->half_join_rows()); },
-        owner);
-    registry->RegisterGaugeFn(
-        "rollview_half_join_bytes", lv,
-        [programs] {
-          return static_cast<int64_t>(programs->half_join_bytes());
-        },
-        owner);
-  }
 
   auto compute = [this] {
     std::lock_guard<std::mutex> lk(stats_mu_);

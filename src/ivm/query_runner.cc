@@ -60,31 +60,6 @@ void QueryRunner::RegisterMetrics(obs::MetricsRegistry* registry,
       [s] { return s->exec.bytes_borrowed; }, owner);
   registry->RegisterCounterFn("rollview_exec_nanos_total", {{"view", v}},
                               [s] { return s->exec.exec_nanos; }, owner);
-  registry->RegisterCounterFn("rollview_compiled_queries_total", {{"view", v}},
-                              [s] { return s->exec.compiled_queries; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_compiled_probe_rows_total", {{"view", v}},
-      [s] { return s->exec.compiled_probe_rows; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_compiled_kernel_evals_total", {{"view", v}},
-      [s] { return s->exec.compiled_kernel_evals; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_probes_total", {{"view", v}, {"outcome", "hit"}},
-      [s] { return s->exec.half_join_hits; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_probes_total", {{"view", v}, {"outcome", "miss"}},
-      [s] { return s->exec.half_join_misses; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_maintenance_total",
-      {{"view", v}, {"kind", "advance"}},
-      [s] { return s->exec.half_join_advances; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_maintenance_total",
-      {{"view", v}, {"kind", "rebuild"}},
-      [s] { return s->exec.half_join_rebuilds; }, owner);
-  registry->RegisterCounterFn(
-      "rollview_half_join_advance_rows_total", {{"view", v}},
-      [s] { return s->exec.half_join_advance_rows; }, owner);
 }
 
 Status QueryRunner::EnsureSpecialTable() {
@@ -193,38 +168,6 @@ Result<Csn> QueryRunner::ExecuteOnce(const PropQuery& q) {
   // the delta table is part of updaters' footprints, so reading it requires
   // an S lock on its resource (this is the contention experiment E7
   // measures).
-  // Compiled dispatch: forward queries (exactly one delta term) whose term
-  // has a compiled delta program probe materialized half-join views instead
-  // of re-joining the base terms (ra/delta_program.h). A view has programs
-  // unless DbOptions::compile_delta_programs is off; any compiled-path
-  // failure falls back to the interpreted executor in the same transaction.
-  size_t delta_term = q.num_terms();
-  if (q.NumDeltaTerms() == 1) {
-    for (size_t i = 0; i < q.num_terms(); ++i) {
-      if (q.terms[i].is_delta) delta_term = i;
-    }
-  }
-  const bool compiled_eligible = view_->programs != nullptr &&
-                                 delta_term < q.num_terms() &&
-                                 view_->programs->compiled(delta_term);
-
-  // Compiled compensation (two-term views): drive the smaller delta side
-  // and probe the other term's advancing window index instead of re-joining
-  // both ranges from scratch -- rolling compensation windows advance
-  // monotonically, so the index retires/admits only edge rows. The windowed
-  // term is not materialized up front (walking the whole drift range per
-  // query is the quadratic cost this path removes); it is filled in lazily
-  // if the compiled attempt falls back. Partitioned strips stay
-  // interpreted: the shared window is not partition-filtered.
-  size_t window_term = q.num_terms();
-  if (view_->programs != nullptr && q.num_terms() == 2 &&
-      q.NumDeltaTerms() == 2 && (partition_ == nullptr || !partition_->enabled()) &&
-      db->delta(rv.table(0)) != nullptr && db->delta(rv.table(1)) != nullptr) {
-    const size_t c0 = db->delta(rv.table(0))->CountInRange(q.terms[0].range);
-    const size_t c1 = db->delta(rv.table(1))->CountInRange(q.terms[1].range);
-    window_term = c0 <= c1 ? 1 : 0;
-  }
-
   std::vector<DeltaRowRefs> materialized(q.num_terms());
   std::vector<DeltaTable::Pin> pins(q.num_terms());
   JoinQuery jq;
@@ -234,11 +177,7 @@ Result<Csn> QueryRunner::ExecuteOnce(const PropQuery& q) {
     if (q.terms[i].is_delta) {
       Status s = db->LockDeltaShared(txn.get(), tid);
       if (!s.ok()) return fail(s);
-      if (i == window_term) {
-        // Served by the compensation window index; materialized lazily only
-        // if the compiled attempt falls back (jq holds the vector's address,
-        // so filling it later is safe).
-      } else if (partition_ != nullptr && partition_->enabled()) {
+      if (partition_ != nullptr && partition_->enabled()) {
         DeltaPartitionFilter f = partition_->FilterFor(i);
         materialized[i] =
             db->delta(tid)->ScanRefs(q.terms[i].range, &f, &pins[i]);
@@ -251,13 +190,6 @@ Result<Csn> QueryRunner::ExecuteOnce(const PropQuery& q) {
       // commit CSN); strict 2PL holds the lock through commit.
       Status s = db->LockTableShared(txn.get(), tid);
       if (!s.ok()) return fail(s);
-      if (compiled_eligible) {
-        // Half-join freshening reads the member delta tables (telescoping
-        // advance); in trigger-capture mode those are part of updaters'
-        // footprints and need their own S locks (no-op in log mode).
-        s = db->LockDeltaShared(txn.get(), tid);
-        if (!s.ok()) return fail(s);
-      }
       jq.terms.push_back(TermSource::BaseCurrent(tid));
     }
   }
@@ -266,47 +198,10 @@ Result<Csn> QueryRunner::ExecuteOnce(const PropQuery& q) {
   jq.projection = rv.def().projection;
   jq.sign = q.sign;
 
-  DeltaRows out_rows;
-  bool have_rows = false;
-  if (compiled_eligible) {
-    // Base tables are S-locked (frozen) and their deltas delta-S-locked, so
-    // half-join freshening sees a stable member state; publication through
-    // the capture high-water mark decides advance vs. rebuild. Any failure
-    // falls through to the interpreted path within the same transaction.
-    const Csn delta_ready = views_->capture() != nullptr
-                                ? views_->capture()->high_water_mark()
-                                : db->stable_csn();
-    Result<DeltaRows> cr = view_->programs->ExecuteForward(
-        delta_term, materialized[delta_term], q.sign, delta_ready,
-        &stats_.exec);
-    if (cr.ok()) {
-      out_rows = std::move(cr).value();
-      have_rows = true;
-    }
-  }
-  if (!have_rows && window_term < q.num_terms()) {
-    // Any failure falls through to the interpreted path within the same
-    // transaction (after materializing the windowed term it skipped).
-    const size_t dt = 1 - window_term;
-    Result<DeltaRows> cr = view_->programs->ExecuteCompensation(
-        dt, materialized[dt], window_term, q.terms[window_term].range, q.sign,
-        &stats_.exec);
-    if (cr.ok()) {
-      out_rows = std::move(cr).value();
-      have_rows = true;
-    } else {
-      const TableId wt = rv.table(window_term);
-      materialized[window_term] =
-          db->delta(wt)->ScanRefs(q.terms[window_term].range,
-                                  &pins[window_term]);
-    }
-  }
-  if (!have_rows) {
-    JoinExecutor exec(db);
-    Result<DeltaRows> rows = exec.Execute(jq, txn.get(), &stats_.exec);
-    if (!rows.ok()) return fail(rows.status());
-    out_rows = std::move(rows).value();
-  }
+  JoinExecutor exec(db);
+  Result<DeltaRows> rows = exec.Execute(jq, txn.get(), &stats_.exec);
+  if (!rows.ok()) return fail(rows.status());
+  DeltaRows out_rows = std::move(rows).value();
 
   // When a step-undo log is attached, keep a copy of what this transaction
   // publishes so a later query's failure can cancel it (see StepUndoLog).

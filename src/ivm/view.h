@@ -22,7 +22,6 @@
 #include "common/csn_frontier.h"
 #include "ivm/materialized_view.h"
 #include "ivm/view_def.h"
-#include "ra/delta_program.h"
 
 namespace rollview {
 
@@ -76,12 +75,6 @@ struct View {
 
   // The stored view extent; its csn() is the view materialization time.
   std::unique_ptr<MaterializedView> mv;
-
-  // Compiled delta programs + materialized half-join views (null when
-  // DbOptions::compile_delta_programs is off). Immutable after CreateView;
-  // half-join STATE is volatile and derived -- Materialize / recovery /
-  // repair call programs->Reset() and the first forward query rebuilds.
-  std::shared_ptr<ViewPrograms> programs;
 
   // View delta high-water mark: sigma_{mv.csn, hwm}(view_delta) is a
   // complete timed delta table (Def. 4.2). Advanced only by the propagation

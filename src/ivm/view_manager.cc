@@ -28,11 +28,6 @@ Result<View*> ViewManager::CreateView(const std::string& name,
   // Named lock resources: keep view locks clear of delta-table resources
   // (which use the base TableId directly).
   view->mv_lock_resource = (1ULL << 20) + view->id;
-  if (db_->options().compile_delta_programs) {
-    const SpjViewDef& d = view->resolved.def();
-    view->programs = ViewPrograms::Compile(db_, d.tables, d.joins,
-                                           d.selection, d.projection, name);
-  }
   views_.push_back(std::move(view));
   // Durable id -> name binding: view ids restart per crash generation, so
   // every later view record in the log resolves its id through the most
@@ -119,9 +114,6 @@ Status ViewManager::Materialize(View* view) {
   cursors.next_step_seq = 1;
   view->ClearCursors();  // including any stale partition chains
   view->StoreCursors(std::move(cursors));
-  // Half-join auxiliary state predates the new materialization time; drop
-  // it so the first forward query rebuilds from consistent snapshots.
-  if (view->programs != nullptr) view->programs->Reset();
   return WriteViewCheckpoint(db_, view);
 }
 
@@ -472,11 +464,6 @@ Status RestoreOneView(Db* db, View* view, PerView& pv,
   }
   // A freshly restored (digest-verified) view is healthy by construction.
   view->ClearQuarantine();
-  // Half-join auxiliary state is volatile and DERIVED -- never part of the
-  // checkpoint. Drop whatever survived (online repair restores over a live
-  // view) so the first forward query deterministically rebuilds from base
-  // snapshots consistent with the recovered frontier.
-  if (view->programs != nullptr) view->programs->Reset();
   report->views_recovered++;
 
   // Recovery checkpoint: shadows the discarded mid-flight rows still

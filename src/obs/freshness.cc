@@ -72,8 +72,30 @@ void FreshnessTracker::OnCommit(Csn csn) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     CommitSlot& slot = slots_[csn % slots_.size()];
-    slot.csn = csn;
-    slot.nanos = now;
+    // A stamp so late that a newer CSN already owns the slot is lost; the
+    // view that reaches it counts it evicted.
+    if (slot.csn < csn) {
+      slot.csn = csn;
+      slot.nanos = now;
+    }
+    // A committer preempted between CSN assignment and this stamp can be
+    // passed by a view's visibility cursor, which then read the slot as
+    // unstamped (no freshness obligation). OnVisible reads the stamps and
+    // advances its cursor under mu_, so exactly one side sees this commit:
+    // either that read found the stamp, or the cursor read here covers it
+    // and the commit is recorded now, with zero lag (it was visible before
+    // it was acked). A CSN a whole ring behind the cursor is beyond the
+    // range OnVisible can count in either direction and is dropped.
+    if (csn <= max_visible_) {
+      const Csn cap = static_cast<Csn>(slots_.size());
+      std::lock_guard<std::mutex> vlk(views_mu_);
+      for (const auto& v : views_) {
+        const Csn visible = v->visible_.load(std::memory_order_acquire);
+        if (csn > v->start_ && csn <= visible && visible - csn < cap) {
+          v->RecordLateCommit();
+        }
+      }
+    }
   }
   // Committers can race past each other between CSN assignment and the
   // stamp; fold the max so last_commit_ stays the true frontier.
@@ -97,12 +119,11 @@ Csn FreshnessTracker::durable_frontier() const {
   return durable_.frontier();
 }
 
-void FreshnessTracker::StampRange(Csn from, Csn to,
-                                  std::vector<Stamp>* out) const {
+void FreshnessTracker::StampRangeLocked(Csn from, Csn to,
+                                        std::vector<Stamp>* out) const {
   out->clear();
   if (to < from) return;
   out->reserve(static_cast<size_t>(to - from) + 1);
-  std::lock_guard<std::mutex> lk(mu_);
   for (Csn csn = from; csn <= to; ++csn) {
     const CommitSlot& slot = slots_[csn % slots_.size()];
     Stamp s;
@@ -146,6 +167,7 @@ ViewFreshness::ViewFreshness(FreshnessTracker* tracker, std::string name,
                              Csn visible_start, size_t boundary_capacity)
     : tracker_(tracker),
       name_(std::move(name)),
+      start_(visible_start),
       visible_(visible_start),
       pickup_(boundary_capacity),
       comp_(boundary_capacity) {}
@@ -181,7 +203,15 @@ ViewFreshness::VisibleReport ViewFreshness::OnVisible(Csn mv_csn) {
   }
 
   std::vector<FreshnessTracker::Stamp> stamps;
-  tracker_->StampRange(first, mv_csn, &stamps);
+  {
+    // Reading the stamps and advancing the cursor under the tracker's
+    // mutex is what lets a concurrent late OnCommit tell which side owns
+    // its commit (see FreshnessTracker::OnCommit).
+    std::lock_guard<std::mutex> tlk(tracker_->mu_);
+    tracker_->StampRangeLocked(first, mv_csn, &stamps);
+    visible_.store(mv_csn, std::memory_order_release);
+    tracker_->max_visible_ = std::max(tracker_->max_visible_, mv_csn);
+  }
 
   for (Csn csn = first; csn <= mv_csn; ++csn) {
     uint64_t commit_ts = stamps[static_cast<size_t>(csn - first)].commit;
@@ -220,11 +250,16 @@ ViewFreshness::VisibleReport ViewFreshness::OnVisible(Csn mv_csn) {
 
   commits_.Add(report.commits);
   evicted_.Add(report.evicted);
-  visible_.store(mv_csn, std::memory_order_release);
   // Events covering only <= mv_csn can never be selected again.
   pickup_.DropCoveredThrough(mv_csn);
   comp_.DropCoveredThrough(mv_csn);
   return report;
+}
+
+void ViewFreshness::RecordLateCommit() {
+  e2e_.Record(0);
+  for (LatencyHistogram& stage : stages_) stage.Record(0);
+  commits_.Add(1);
 }
 
 void ViewFreshness::OnRead() { read_staleness_.Record(StalenessNanos()); }

@@ -167,18 +167,23 @@ class FreshnessTracker {
     bool evicted = false;  // slot overwritten by a newer CSN
   };
 
-  // Fills stamps for csns in [from, to], one lock acquisition for the
-  // whole range. A missing commit stamp distinguishes "never stamped"
-  // (commits that carry no delta are not tracked) from "evicted" (the
-  // ring slot was reclaimed by a newer CSN before measurement).
-  void StampRange(Csn from, Csn to, std::vector<Stamp>* out) const;
+  // Fills stamps for csns in [from, to]; the caller holds mu_. A missing
+  // commit stamp distinguishes "never stamped" (commits that carry no
+  // delta are not tracked, or whose stamp is still to come) from
+  // "evicted" (the ring slot was reclaimed by a newer CSN before
+  // measurement).
+  void StampRangeLocked(Csn from, Csn to, std::vector<Stamp>* out) const;
 
   std::function<uint64_t()> clock_;
   std::atomic<Csn> last_commit_{kNullCsn};
   std::atomic<uint64_t> stamped_{0};
 
-  mutable std::mutex mu_;              // guards slots_, durable_
+  // Guards slots_, max_visible_ and durable_, and orders commit stamps
+  // against visibility cursor advances (ViewFreshness::OnVisible). Lock
+  // order: ViewFreshness::mu_ -> mu_ -> views_mu_.
+  mutable std::mutex mu_;
   std::vector<CommitSlot> slots_;      // ring keyed by csn % capacity
+  Csn max_visible_ = kNullCsn;         // highest visibility cursor of any view
   BoundarySeries durable_;
   size_t boundary_capacity_;           // for per-view series
 
@@ -215,8 +220,10 @@ class ViewFreshness {
   };
 
   // The MV became visible at mv_csn: decompose every commit in
-  // (previous visible, mv_csn] into stage lags and record them. Called by
-  // the apply driver (one thread at a time per view).
+  // (previous visible, mv_csn] into stage lags and record them. A commit
+  // whose stamp arrives after this call passed it is recorded by
+  // FreshnessTracker::OnCommit instead, with zero lag. Called by the
+  // apply driver (one thread at a time per view).
   VisibleReport OnVisible(Csn mv_csn);
 
   // A reader observed the view; records the staleness the reader saw.
@@ -246,8 +253,13 @@ class ViewFreshness {
   ViewFreshness(FreshnessTracker* tracker, std::string name, Csn visible_start,
                 size_t boundary_capacity);
 
+  // Records a commit stamped only after the cursor passed it: zero lag
+  // in every stage, so the stages still telescope to e2e.
+  void RecordLateCommit();
+
   FreshnessTracker* tracker_;
   std::string name_;
+  const Csn start_;  // commits <= start_ predate tracking
   std::atomic<Csn> visible_;
 
   mutable std::mutex mu_;  // guards pickup_, comp_, serializes OnVisible

@@ -163,25 +163,6 @@ std::string RenderViewDigest(const MetricsSnapshot& snapshot) {
                  .c_str(),
              GaugeCell(snapshot, "rollview_slo_burn_x1000", lv).c_str());
     }
-    // Compiled delta-program digest, present only when the view ran any
-    // compiled forward queries (half-join residency rides along).
-    const uint64_t compiled =
-        snapshot.CounterValue("rollview_compiled_queries_total", lv);
-    if (compiled > 0) {
-      Append(&out,
-             "  %-12s compiled=%" PRIu64 " probe_rows=%" PRIu64
-             " kernel_evals=%" PRIu64 " hj_hits=%" PRIu64 " hj_misses=%" PRIu64
-             " hj_rows=%" PRId64 " hj_bytes=%" PRId64 "\n",
-             "", compiled,
-             snapshot.CounterValue("rollview_compiled_probe_rows_total", lv),
-             snapshot.CounterValue("rollview_compiled_kernel_evals_total", lv),
-             snapshot.CounterValue("rollview_half_join_probes_total",
-                                   {{"outcome", "hit"}, {"view", view}}),
-             snapshot.CounterValue("rollview_half_join_probes_total",
-                                   {{"outcome", "miss"}, {"view", view}}),
-             snapshot.GaugeValue("rollview_half_join_rows", lv),
-             snapshot.GaugeValue("rollview_half_join_bytes", lv));
-    }
   }
   return out;
 }

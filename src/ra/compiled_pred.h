@@ -5,9 +5,9 @@
 // Value comparisons -- no Expr-tree recursion, no per-row Value copies --
 // which matters because this runs on every raw row of every delta range a
 // query materializes. Anything else falls back to the Expr interpreter via
-// the `rest` conjunct. Shared by the interpreted executor's pushdown filters
-// (ra/executor.cc) and the compiled delta programs (ra/delta_program.h),
-// which extend it with column-vs-column kernels over concatenated tuples.
+// the `rest` conjunct. The join executor (ra/executor.cc) compiles each
+// single-term conjunct of a residual selection into one of these and
+// applies it to that term's rows before the join.
 
 #ifndef ROLLVIEW_RA_COMPILED_PRED_H_
 #define ROLLVIEW_RA_COMPILED_PRED_H_
@@ -61,22 +61,6 @@ struct CompiledPred {
 // Splits `pred` into column-vs-literal fast-path conjuncts and an
 // interpreter-evaluated remainder.
 CompiledPred CompilePred(const ExprPtr& pred);
-
-// Evaluates one comparison between two already-fetched Values under the
-// engine's NULL-propagates-as-false rule. Shared by CompiledPred::Admits
-// and the delta-program residual kernels.
-inline bool EvalCmp(Expr::CmpOp op, const Value& a, const Value& b) {
-  if (a.is_null() || b.is_null()) return false;
-  switch (op) {
-    case Expr::CmpOp::kEq: return a == b;
-    case Expr::CmpOp::kNe: return a != b;
-    case Expr::CmpOp::kLt: return a < b;
-    case Expr::CmpOp::kLe: return a <= b;
-    case Expr::CmpOp::kGt: return a > b;
-    case Expr::CmpOp::kGe: return a >= b;
-  }
-  return false;
-}
 
 }  // namespace rollview
 

@@ -24,7 +24,7 @@
 namespace rollview {
 
 // Composite equi-join key: the values of several columns hashed together.
-// Shared by the executor's hash joins and the half-join view indexes.
+// Keys the executor's hash joins.
 struct JoinKey {
   std::vector<Value> values;
 
@@ -114,17 +114,6 @@ struct ExecStats {
   // Wall time inside JoinExecutor::Execute, so callers can split executor
   // cost from transaction/WAL/capture overhead.
   uint64_t exec_nanos = 0;
-  // Compiled delta-program path (ra/delta_program.h). A compiled forward
-  // query probes materialized half-join views instead of re-joining terms;
-  // these split its work from the interpreted executor's.
-  uint64_t compiled_queries = 0;      // ViewPrograms::ExecuteForward calls
-  uint64_t compiled_probe_rows = 0;   // delta rows driven through programs
-  uint64_t compiled_kernel_evals = 0;  // flat-kernel match combinations
-  uint64_t half_join_hits = 0;        // half-join index probes that matched
-  uint64_t half_join_misses = 0;      // ... that found no bucket
-  uint64_t half_join_advances = 0;    // incremental half-join maintenances
-  uint64_t half_join_advance_rows = 0;  // signed rows applied by advances
-  uint64_t half_join_rebuilds = 0;    // full snapshot rebuilds
 
   void Add(const ExecStats& o) {
     input_rows += o.input_rows;
@@ -137,14 +126,6 @@ struct ExecStats {
     bytes_copied += o.bytes_copied;
     bytes_borrowed += o.bytes_borrowed;
     exec_nanos += o.exec_nanos;
-    compiled_queries += o.compiled_queries;
-    compiled_probe_rows += o.compiled_probe_rows;
-    compiled_kernel_evals += o.compiled_kernel_evals;
-    half_join_hits += o.half_join_hits;
-    half_join_misses += o.half_join_misses;
-    half_join_advances += o.half_join_advances;
-    half_join_advance_rows += o.half_join_advance_rows;
-    half_join_rebuilds += o.half_join_rebuilds;
   }
 };
 

@@ -25,8 +25,8 @@ using Tuple = std::vector<Value>;
 
 size_t HashTuple(const Tuple& t);
 std::string TupleToString(const Tuple& t);
-// Approximate heap footprint of a tuple (half-join budgeting and the
-// borrowed/copied byte accounting in ExecStats).
+// Approximate heap footprint of a tuple (the borrowed/copied byte
+// accounting in ExecStats).
 size_t TupleApproxBytes(const Tuple& t);
 
 struct TupleHasher {

@@ -91,12 +91,6 @@ struct DbOptions {
   bool wal_group_commit = true;
   // Read behavior against quarantined views (see enum above).
   QuarantineReadPolicy quarantine_read_policy = QuarantineReadPolicy::kFailFast;
-  // Compile per-relation propagation queries into delta programs with
-  // materialized half-join views at CreateView (ra/delta_program.h). The
-  // interpreted executor remains the fallback for uncompilable terms,
-  // compensation queries, and any compiled-path failure; setting this
-  // false keeps every query on the interpreted path.
-  bool compile_delta_programs = true;
 };
 
 using TuplePredicate = std::function<bool(const Tuple&)>;

@@ -71,7 +71,6 @@ void VersionedTable::CommitInsert(size_t slot, Csn csn) {
   assert(v.begin_csn == kNullCsn && !v.insert_aborted);
   v.begin_csn = csn;
   v.begin_txn = kInvalidTxnId;
-  if (csn > last_change_csn_) last_change_csn_ = csn;
 }
 
 void VersionedTable::CommitDelete(size_t slot, Csn csn) {
@@ -80,7 +79,6 @@ void VersionedTable::CommitDelete(size_t slot, Csn csn) {
   assert(v.end_txn != kInvalidTxnId && v.end_csn == kMaxCsn);
   v.end_csn = csn;
   v.end_txn = kInvalidTxnId;
-  if (csn > last_change_csn_) last_change_csn_ = csn;
 }
 
 void VersionedTable::AbortInsert(size_t slot) {
@@ -195,11 +193,6 @@ std::vector<Tuple> VersionedTable::SnapshotProbe(Csn csn, size_t col,
   std::vector<Tuple> out;
   ProbeVisitSnapshot(csn, col, key, [&](const Tuple& t) { out.push_back(t); });
   return out;
-}
-
-Csn VersionedTable::last_change_csn() const {
-  std::shared_lock<std::shared_mutex> lk(latch_);
-  return last_change_csn_;
 }
 
 size_t VersionedTable::LiveSize() const {

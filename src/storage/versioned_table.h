@@ -126,13 +126,6 @@ class VersionedTable {
   std::vector<Tuple> SnapshotProbe(Csn csn, size_t col,
                                    const Value& key) const;
 
-  // Highest commit CSN stamped on any version (insert or delete) of this
-  // table; kNullCsn if never written. For any csn c <= the manager's stable
-  // CSN with last_change_csn() <= c, the table's content at c equals its
-  // content at last_change_csn() -- compiled delta programs use this to
-  // tell whether a half-join view is still current.
-  Csn last_change_csn() const;
-
   // Number of currently committed-visible rows (approximate live size).
   size_t LiveSize() const;
   // Total versions retained (live + historical).
@@ -161,7 +154,6 @@ class VersionedTable {
 
   mutable std::shared_mutex latch_;
   std::vector<Version> versions_;
-  Csn last_change_csn_ = kNullCsn;  // max CSN ever stamped (guarded by latch_)
   // One hash index per indexed column: key value -> version slots. Entries
   // are added at insert time and filtered through visibility at probe time;
   // GarbageCollect purges dead entries.
