@@ -7,13 +7,13 @@
 #             vs fault storms, freshness stamping across committer/flusher/
 #             strip/apply threads, trace ring under concurrent writers and
 #             scrapes)
-#   asan   -> scrub + recovery + durability + obs   (WAL replay,
-#             checkpoint decode, repair escalation, segment scan over
-#             torn/corrupt files, borrowed-instrument registration/drop
-#             lifetimes)
-#   ubsan  -> scrub + recovery + parallel + durability
+#   asan   -> scrub + recovery + durability + obs + storage   (WAL
+#             replay, checkpoint decode, repair escalation, segment scan
+#             over torn/corrupt files, borrowed-instrument registration/drop
+#             lifetimes, version-slot indexing across GC compaction)
+#   ubsan  -> scrub + recovery + parallel + durability + storage
 #             (digest mixing arithmetic, cursor folding, partition math,
-#             CRC/LSN framing arithmetic)
+#             CRC/LSN framing arithmetic, MVCC heap slot arithmetic)
 #
 #   scripts/run_sanitizers.sh [tsan|asan|ubsan]...
 #
@@ -34,8 +34,8 @@ fi
 labels_for() {
   case "$1" in
     tsan)  echo "scrub|concurrency|parallel|durability|obs" ;;
-    asan)  echo "scrub|recovery|durability|obs" ;;
-    ubsan) echo "scrub|recovery|parallel|durability" ;;
+    asan)  echo "scrub|recovery|durability|obs|storage" ;;
+    ubsan) echo "scrub|recovery|parallel|durability|storage" ;;
     *)
       echo "unknown sanitizer '$1' (expected tsan, asan or ubsan)" >&2
       return 1

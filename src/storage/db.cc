@@ -177,8 +177,8 @@ Status Db::Insert(Txn* txn, TableId table, Tuple tuple) {
   return Status::OK();
 }
 
-Result<int64_t> Db::DeleteWhere(Txn* txn, TableId table,
-                                const TuplePredicate& pred, int64_t limit) {
+Result<int64_t> Db::DeleteTuple(Txn* txn, TableId table, const Tuple& tuple,
+                                int64_t limit) {
   if (txn->state() != TxnState::kActive) {
     return Status::InvalidArgument("txn not active");
   }
@@ -190,27 +190,21 @@ Result<int64_t> Db::DeleteWhere(Txn* txn, TableId table,
   ROLLVIEW_RETURN_NOT_OK(wal_.MaybeInjectWriteError());
 
   std::vector<size_t> slots;
-  std::vector<Tuple> tuples;
-  int64_t n = e->table->MarkPendingDeletes(txn->id(), pred, limit, &slots,
-                                           &tuples);
-  for (size_t i = 0; i < slots.size(); ++i) {
+  int64_t n = e->table->MarkPendingDeletes(txn->id(), tuple, limit, &slots);
+  // Every marked slot joins the undo list before anything below can fail,
+  // so an abort unmarks all of them.
+  for (size_t slot : slots) {
+    txn->write_ops_.push_back(Txn::WriteOp{e->table.get(), slot, true});
+  }
+  for (int64_t i = 0; i < n; ++i) {
     // Row lock after the fact is safe here: IX on the table was held before
-    // the scan, and conflicting writers serialize on the row key anyway.
-    Status s = AcquireRowLock(txn, table, *e, tuples[i]);
-    if (!s.ok()) return s;
-    s = CaptureOnWrite(txn, table, e, tuples[i], -1);
-    if (!s.ok()) return s;
-    wal_.Append(WalRecord{WalRecord::Kind::kDelete, 0, txn->id(), table,
-                          tuples[i], kNullCsn});
-    txn->write_ops_.push_back(Txn::WriteOp{e->table.get(), slots[i], true});
+    // the marking, and conflicting writers serialize on the row key anyway.
+    ROLLVIEW_RETURN_NOT_OK(AcquireRowLock(txn, table, *e, tuple));
+    ROLLVIEW_RETURN_NOT_OK(CaptureOnWrite(txn, table, e, tuple, -1));
+    wal_.Append(WalRecord{WalRecord::Kind::kDelete, 0, txn->id(), table, tuple,
+                          kNullCsn});
   }
   return n;
-}
-
-Result<int64_t> Db::DeleteTuple(Txn* txn, TableId table, const Tuple& tuple,
-                                int64_t limit) {
-  return DeleteWhere(
-      txn, table, [&tuple](const Tuple& t) { return t == tuple; }, limit);
 }
 
 Status Db::Update(Txn* txn, TableId table, const Tuple& old_tuple,
@@ -489,11 +483,8 @@ Result<std::unique_ptr<Db>> Db::Recover(const std::vector<WalRecord>& records,
               e->table->CommitInsert(slot, rec.commit_csn);
             } else {
               std::vector<size_t> slots;
-              std::vector<Tuple> tuples;
-              int64_t n = e->table->MarkPendingDeletes(
-                  rec.txn,
-                  [op](const Tuple& t) { return t == op->tuple; },
-                  /*limit=*/1, &slots, &tuples);
+              int64_t n = e->table->MarkPendingDeletes(rec.txn, op->tuple,
+                                                       /*limit=*/1, &slots);
               if (n != 1) {
                 return Status::Internal("replayed delete found no target");
               }

@@ -54,6 +54,7 @@ namespace rollview {
 struct TableOptions {
   CaptureMode capture_mode = CaptureMode::kLog;
   // Columns to maintain hash indexes on (propagation queries probe these).
+  // The first one also keys row locks and the DeleteTuple probe.
   std::vector<size_t> indexed_columns;
 };
 
@@ -146,11 +147,11 @@ class Db {
   // --- Data operations (acquire their own IX/X locks) ---
 
   Status Insert(Txn* txn, TableId table, Tuple tuple);
-  // Deletes up to `limit` (-1 = all) visible copies matching `pred`;
-  // returns the number deleted.
-  Result<int64_t> DeleteWhere(Txn* txn, TableId table,
-                              const TuplePredicate& pred, int64_t limit = -1);
-  // Convenience: delete copies equal to `tuple`.
+  // Deletes up to `limit` (-1 = all) visible copies equal to `tuple`,
+  // lowest version slot first; returns the number deleted. The one delete
+  // entry point (Update and log replay go through the same marking). On a
+  // table with indexed columns it probes the leading index for the tuple's
+  // key instead of scanning the version heap.
   Result<int64_t> DeleteTuple(Txn* txn, TableId table, const Tuple& tuple,
                               int64_t limit = 1);
   // The paper models an update as a deletion plus an insertion (Sec. 2).

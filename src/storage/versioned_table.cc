@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <mutex>
+#include <ranges>
 
 namespace rollview {
 
@@ -22,6 +23,7 @@ size_t VersionedTable::AddPendingInsert(TxnId txn, Tuple tuple) {
   v.tuple = std::move(tuple);
   v.begin_txn = txn;
   versions_.push_back(std::move(v));
+  ++pending_versions_;
   for (size_t i = 0; i < indexed_columns_.size(); ++i) {
     indexes_[i][versions_[slot].tuple[indexed_columns_[i]]].push_back(slot);
   }
@@ -46,23 +48,36 @@ bool VersionedTable::VisibleAt(const Version& v, Csn csn) const {
   return v.end_csn == kMaxCsn || v.end_csn > csn;
 }
 
-int64_t VersionedTable::MarkPendingDeletes(
-    TxnId txn, const std::function<bool(const Tuple&)>& pred, int64_t limit,
-    std::vector<size_t>* slots, std::vector<Tuple>* tuples) {
+int64_t VersionedTable::MarkPendingDeletes(TxnId txn, const Tuple& tuple,
+                                           int64_t limit,
+                                           std::vector<size_t>* slots) {
   std::unique_lock<std::shared_mutex> lk(latch_);
-  int64_t marked = 0;
-  for (size_t i = 0; i < versions_.size(); ++i) {
-    if (limit >= 0 && marked >= limit) break;
-    Version& v = versions_[i];
-    if (!VisibleToTxn(v, txn)) continue;
-    if (v.end_txn != kInvalidTxnId) continue;  // already pending-deleted
-    if (!pred(v.tuple)) continue;
-    v.end_txn = txn;
-    slots->push_back(i);
-    tuples->push_back(v.tuple);
-    ++marked;
+  // Visits candidate slots in ascending order.
+  auto mark = [&](const auto& candidates) {
+    int64_t marked = 0;
+    for (size_t slot : candidates) {
+      if (limit >= 0 && marked >= limit) break;
+      Version& v = versions_[slot];
+      if (!VisibleToTxn(v, txn)) continue;
+      if (v.end_txn != kInvalidTxnId) continue;  // already pending-deleted
+      if (v.tuple != tuple) continue;
+      v.end_txn = txn;
+      ++pending_versions_;
+      slots->push_back(slot);
+      ++marked;
+    }
+    return marked;
+  };
+  if (indexed_columns_.empty()) {
+    return mark(std::views::iota(size_t{0}, versions_.size()));
   }
-  return marked;
+  // Every version of `tuple` carries its key, so the leading index's slot
+  // list holds them all, in the same order a scan would visit them. (A
+  // tuple too short to have a key equals no indexed version.)
+  if (tuple.size() <= indexed_columns_[0]) return 0;
+  auto it = indexes_[0].find(tuple[indexed_columns_[0]]);
+  if (it == indexes_[0].end()) return 0;
+  return mark(it->second);
 }
 
 void VersionedTable::CommitInsert(size_t slot, Csn csn) {
@@ -71,6 +86,7 @@ void VersionedTable::CommitInsert(size_t slot, Csn csn) {
   assert(v.begin_csn == kNullCsn && !v.insert_aborted);
   v.begin_csn = csn;
   v.begin_txn = kInvalidTxnId;
+  --pending_versions_;
 }
 
 void VersionedTable::CommitDelete(size_t slot, Csn csn) {
@@ -79,6 +95,7 @@ void VersionedTable::CommitDelete(size_t slot, Csn csn) {
   assert(v.end_txn != kInvalidTxnId && v.end_csn == kMaxCsn);
   v.end_csn = csn;
   v.end_txn = kInvalidTxnId;
+  --pending_versions_;
 }
 
 void VersionedTable::AbortInsert(size_t slot) {
@@ -87,6 +104,7 @@ void VersionedTable::AbortInsert(size_t slot) {
   assert(v.begin_csn == kNullCsn);
   v.insert_aborted = true;
   v.begin_txn = kInvalidTxnId;
+  --pending_versions_;
 }
 
 void VersionedTable::AbortDelete(size_t slot) {
@@ -94,6 +112,7 @@ void VersionedTable::AbortDelete(size_t slot) {
   Version& v = versions_[slot];
   assert(v.end_txn != kInvalidTxnId && v.end_csn == kMaxCsn);
   v.end_txn = kInvalidTxnId;
+  --pending_versions_;
 }
 
 template <typename Visible>
@@ -213,7 +232,10 @@ size_t VersionedTable::VersionCount() const {
 
 void VersionedTable::GarbageCollect(Csn horizon) {
   std::unique_lock<std::shared_mutex> lk(latch_);
-  // Compact: keep versions still visible at or after `horizon`, or pending.
+  // Open writers hold raw slots of their pending versions (Txn::write_ops_),
+  // which compaction would shift; leave the table for a later pass.
+  if (pending_versions_ != 0) return;
+  // Compact: keep versions still visible at or after `horizon`.
   std::vector<size_t> remap(versions_.size(), SIZE_MAX);
   std::vector<Version> kept;
   kept.reserve(versions_.size());

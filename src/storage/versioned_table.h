@@ -67,13 +67,13 @@ class VersionedTable {
   // Appends an uncommitted insert by `txn`. Returns the version slot.
   size_t AddPendingInsert(TxnId txn, Tuple tuple);
 
-  // Marks up to `limit` (-1 = all) current-visible copies of rows matching
-  // `pred` as pending-deleted by `txn`. Appends the affected slots to
-  // `slots` and the deleted tuples to `tuples`. Returns the number marked.
-  int64_t MarkPendingDeletes(TxnId txn,
-                             const std::function<bool(const Tuple&)>& pred,
-                             int64_t limit, std::vector<size_t>* slots,
-                             std::vector<Tuple>* tuples);
+  // Marks up to `limit` (-1 = all) current-visible copies of `tuple` as
+  // pending-deleted by `txn`, lowest slot first, and appends their slots to
+  // `slots`. Returns the number marked. A table with indexed columns walks
+  // only the leading index's slot list for the tuple's key; a table without
+  // one scans every version.
+  int64_t MarkPendingDeletes(TxnId txn, const Tuple& tuple, int64_t limit,
+                             std::vector<size_t>* slots);
 
   // Commit stamping / rollback (called under the commit mutex).
   void CommitInsert(size_t slot, Csn csn);
@@ -133,6 +133,9 @@ class VersionedTable {
 
   // Drops versions whose end_csn <= horizon (no snapshot reader needs them).
   // Index entries pointing at dropped versions are purged as well.
+  // Compaction moves version slots, and an open transaction holds the slots
+  // of its pending inserts and deletes until it commits or aborts; so while
+  // any version is pending the pass leaves the table as it is.
   void GarbageCollect(Csn horizon);
 
  private:
@@ -154,8 +157,11 @@ class VersionedTable {
 
   mutable std::shared_mutex latch_;
   std::vector<Version> versions_;
-  // One hash index per indexed column: key value -> version slots. Entries
-  // are added at insert time and filtered through visibility at probe time;
+  // Pending inserts plus pending deletes not yet committed or aborted.
+  size_t pending_versions_ = 0;
+  // One hash index per indexed column: key value -> version slots, in
+  // ascending slot order (inserts append, GC remaps in order). Entries are
+  // added at insert time and filtered through visibility at probe time;
   // GarbageCollect purges dead entries.
   std::vector<std::unordered_map<Value, std::vector<size_t>, ValueHasher>>
       indexes_;

@@ -10,6 +10,7 @@
 #include "harness/mv_reader.h"
 #include "harness/worker.h"
 #include "ivm/apply.h"
+#include "ivm/maintenance.h"
 #include "ivm/rolling.h"
 #include "tests/test_util.h"
 
@@ -202,6 +203,60 @@ TEST(ConcurrentTest, GarbageCollectionDuringPropagation) {
   DeltaRows oracle = OracleViewState(env.db(), view, view->mv->csn());
   EXPECT_TRUE(NetEquivalent(oracle, view->mv->AsDeltaRows()));
   (void)t0;
+}
+
+// Version GC (RetentionService with gc_versions) compacts the base tables'
+// version heaps while writers hold pending versions and the maintenance
+// service propagates and applies. The MV must still equal the oracle at its
+// CSN, and once the writers stop, one pass leaves no version that died at
+// or below its floor.
+TEST(ConcurrentTest, VersionGcDuringLiveMaintenance) {
+  TestEnv env;
+  ASSERT_OK_AND_ASSIGN(TwoTableWorkload workload,
+                       TwoTableWorkload::Create(env.db(), 60, 30, 6, 131));
+  env.CatchUpCapture();
+  ASSERT_OK_AND_ASSIGN(View* view,
+                       env.views()->CreateView("V", workload.ViewDef()));
+  ASSERT_OK(env.views()->Materialize(view));
+  env.StartCapture();
+
+  MaintenanceService service(env.views(), view);
+  RetentionOptions ropts;
+  ropts.gc_versions = true;
+  RetentionService retention(env.views(), ropts,
+                             std::chrono::milliseconds(1));
+  service.Start();
+  retention.Start();
+
+  UpdateStream r1(env.db(), workload.RStream(1, 601), 601);
+  UpdateStream r2(env.db(), workload.RStream(2, 602), 602);
+  UpdateStream s1(env.db(), workload.SStream(3, 603), 603);
+  Worker::Options paced;
+  paced.target_ops_per_sec = 400.0;
+  Worker w1([&r1] { return r1.RunTransaction(); }, paced);
+  Worker w2([&r2] { return r2.RunTransaction(); }, paced);
+  Worker w3([&s1] { return s1.RunTransaction(); }, paced);
+  w1.Start();
+  w2.Start();
+  w3.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  ASSERT_OK(w1.Join());
+  ASSERT_OK(w2.Join());
+  ASSERT_OK(w3.Join());
+  ASSERT_OK(service.Drain(env.db()->stable_csn()));
+  retention.Stop();
+  ASSERT_OK(service.Stop());
+  EXPECT_GT(retention.passes(), 0u);
+
+  const Csn floor = view->mv->csn();
+  DeltaRows oracle = OracleViewState(env.db(), view, floor);
+  EXPECT_TRUE(NetEquivalent(oracle, view->mv->AsDeltaRows()));
+  retention.RunOnce();
+  for (TableId t : {workload.r, workload.s}) {
+    env.db()->table(t)->VisitVersions([&](const Tuple&, Csn, Csn end) {
+      EXPECT_GT(end, floor);
+    });
+  }
 }
 
 }  // namespace

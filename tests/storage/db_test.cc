@@ -224,6 +224,86 @@ TEST_F(DbTest, GarbageCollectionDropsDeadVersions) {
   ASSERT_OK(db_.Commit(reader.get()));
 }
 
+TEST_F(DbTest, DeleteTupleMatchesTheWholeTupleNotJustTheKey) {
+  auto setup = db_.Begin();
+  ASSERT_OK(db_.Insert(setup.get(), t_, Row(1, "a")));
+  ASSERT_OK(db_.Insert(setup.get(), t_, Row(1, "b")));
+  ASSERT_OK(db_.Commit(setup.get()));
+
+  auto txn = db_.Begin();
+  ASSERT_OK_AND_ASSIGN(int64_t n, db_.DeleteTuple(txn.get(), t_, Row(1, "c")));
+  EXPECT_EQ(n, 0);
+  // A tuple without the key column matches nothing (and is not probed).
+  ASSERT_OK_AND_ASSIGN(n, db_.DeleteTuple(txn.get(), t_, Tuple{}));
+  EXPECT_EQ(n, 0);
+  ASSERT_OK_AND_ASSIGN(n, db_.DeleteTuple(txn.get(), t_, Row(1, "b"), -1));
+  EXPECT_EQ(n, 1);
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows, db_.Scan(txn.get(), t_));
+  EXPECT_EQ(rows, std::vector<Tuple>{Row(1, "a")});
+  ASSERT_OK(db_.Commit(txn.get()));
+}
+
+// Regression: a delete marks its copies before it takes their row lock. A
+// lock wait that timed out left the marked copy out of the undo list, so
+// the abort did not unmark it and no later transaction could delete it.
+TEST(DbDeleteTest, FailedRowLockUnmarksOnAbort) {
+  DbOptions options;
+  options.lock_options.wait_timeout = std::chrono::milliseconds(20);
+  Db db(options);
+  TableOptions topts;
+  topts.indexed_columns = {0};
+  ASSERT_OK_AND_ASSIGN(
+      TableId t,
+      db.CreateTable("t", Schema({Column{"k", ValueType::kInt64}}), topts));
+  const Tuple one{Value(int64_t{1})};
+  auto setup = db.Begin();
+  ASSERT_OK(db.Insert(setup.get(), t, one));
+  ASSERT_OK(db.Commit(setup.get()));
+
+  auto holder = db.Begin();  // holds key 1's row lock
+  ASSERT_OK(db.Insert(holder.get(), t, one));
+  auto victim = db.Begin();
+  EXPECT_TRUE(db.DeleteTuple(victim.get(), t, one).status().IsBusy());
+  ASSERT_OK(db.Abort(victim.get()));
+  ASSERT_OK(db.Abort(holder.get()));
+
+  auto del = db.Begin();
+  ASSERT_OK_AND_ASSIGN(int64_t n, db.DeleteTuple(del.get(), t, one));
+  EXPECT_EQ(n, 1);
+  ASSERT_OK(db.Commit(del.get()));
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows,
+                       db.SnapshotScan(t, db.stable_csn()));
+  EXPECT_TRUE(rows.empty());
+}
+
+// Regression: GC compaction shifted version slots that an open writer still
+// held, so its commit stamped the wrong versions and wrote past the end of
+// the version vector. The table ended as {2} instead of {3}.
+TEST_F(DbTest, GarbageCollectionLeavesAnOpenWritersVersionsInPlace) {
+  auto setup = db_.Begin();
+  ASSERT_OK(db_.Insert(setup.get(), t_, Row(1, "x")));
+  ASSERT_OK(db_.Insert(setup.get(), t_, Row(2, "x")));
+  ASSERT_OK(db_.Commit(setup.get()));
+  auto del = db_.Begin();
+  ASSERT_OK_AND_ASSIGN(int64_t n, db_.DeleteTuple(del.get(), t_, Row(1, "x")));
+  ASSERT_EQ(n, 1);
+  ASSERT_OK(db_.Commit(del.get()));
+
+  auto writer = db_.Begin();
+  ASSERT_OK(db_.Insert(writer.get(), t_, Row(3, "x")));
+  ASSERT_OK_AND_ASSIGN(n, db_.DeleteTuple(writer.get(), t_, Row(2, "x")));
+  ASSERT_EQ(n, 1);
+  db_.GarbageCollect(db_.stable_csn());
+  ASSERT_OK(db_.Commit(writer.get()));
+
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows,
+                       db_.SnapshotScan(t_, db_.stable_csn()));
+  EXPECT_EQ(rows, std::vector<Tuple>{Row(3, "x")});
+  // With the writer finished, the next pass collects both dead versions.
+  db_.GarbageCollect(db_.stable_csn());
+  EXPECT_EQ(db_.table(t_)->VersionCount(), 1u);
+}
+
 TEST_F(DbTest, SchemaValidationRejectsBadTuples) {
   auto txn = db_.Begin();
   Status s = db_.Insert(txn.get(), t_, Tuple{Value("notint"), Value("x")});
